@@ -3,6 +3,7 @@
 
 from .bounds import (
     BoundReport,
+    BoundValue,
     bernoulli_lower_bound,
     big_sigma_lower_bound,
     lemma1_upper_bound,
@@ -40,7 +41,6 @@ from .landauer import (
 from .numerics import (
     DomainError,
     InvalidInterval,
-    NonConvergence,
     QuadratureConfig,
     QuadratureResult,
     gaussian_tail_lower,
@@ -54,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMemoryModel",
     "BoundReport",
+    "BoundValue",
     "DiscreteLattice",
     "DistributionError",
     "DomainError",
@@ -63,7 +64,6 @@ __all__ = [
     "InvalidInterval",
     "McConfig",
     "MixtureDensity",
-    "NonConvergence",
     "QuadratureConfig",
     "QuadratureResult",
     "ResetReport",

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .distributions import DiscreteLattice, GaussianDensity, tail_mass
-from .entropy import EntropyValue, deficit_direct
+from .entropy import EntropyValue, deficit_direct, discrete_entropy
 from .numerics import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureConfig,
+    QuadratureResult,
     integrate,
     lattice_sum_excluding_zero,
 )
@@ -43,16 +44,25 @@ def _require_subcritical(sigma: float, what: str) -> float:
     return sigma
 
 
+class BoundValue(float):
+    """A float that also carries the ``converged`` flag of its quadrature."""
+
+    def __new__(cls, qr: QuadratureResult) -> "BoundValue":
+        value = super().__new__(cls, qr.value)
+        value.converged = qr.converged
+        return value
+
+
 def lemma1_upper_bound(
     g: GaussianDensity, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+) -> BoundValue:
     """Numeric value of the Z-independent deficit bound
 
         int f(y) ln(1 + sum_{m != 0} f(y+m) / f(y)) dy.
 
     The ratio is formed in log space; the integrand decays under the Gaussian
     envelope, so integration over lattice extremes +- 40 sigma is exact to
-    well below double precision.
+    well below double precision.  The result also carries ``converged``.
     """
     sigma = g.sigma
     log_pdf = g.log_pdf
@@ -63,20 +73,14 @@ def lemma1_upper_bound(
             return 0.0
         lf = log_pdf(y)
         ratio_log = math.log(s) - lf
-        if ratio_log > 30.0:
-            ln1p_ratio = ratio_log + math.log1p(math.exp(-ratio_log))
-        else:
-            ln1p_ratio = math.log1p(math.exp(ratio_log))
-        f = math.exp(lf)
-        if f == 0.0:
-            return 0.0
-        return f * ln1p_ratio
+        # logaddexp(0, ratio_log) in scalar math: ln(1 + r) without overflow
+        ln1p_ratio = max(ratio_log, 0.0) + math.log1p(math.exp(-abs(ratio_log)))
+        return math.exp(lf) * ln1p_ratio
 
     window = 1.0 + 40.0 * sigma
     # kinks sit at half-integers (nearest-lattice-point switches) and integers
     points = [0.5 * n for n in range(-2 * int(window), 2 * int(window) + 1)]
-    qr = integrate(integrand, -window, window, cfg, points=points)
-    return qr.value
+    return BoundValue(integrate(integrand, -window, window, cfg, points=points))
 
 
 def lemma3_near_zero_term(g: GaussianDensity) -> float:
@@ -145,10 +149,10 @@ def _fmt(x: Optional[float]) -> str:
 class BoundReport:
     """Deficit estimate for one ``(sigma, Z)`` pair with every applicable bound.
 
-    ``sandwich_ok`` is True when every present lower bound is at most
+    ``sandwich_ok`` is True when 0 and every present lower bound are at most
     ``delta_quadrature + delta_error``, ``delta_quadrature - delta_error`` is
-    at most every present upper bound (lemma1, lemma3+lemma4 when lemma4 is
-    present, theorem1 when present), and all quadratures converged.
+    at most H(Z) and every present upper bound (lemma1, lemma3+lemma4,
+    theorem1), and the deficit and lemma1 quadratures converged (``converged``).
     """
 
     sigma: float
@@ -219,28 +223,30 @@ def sandwich_report(
 
     hi = delta.nats + delta.abs_error
     lo = delta.nats - delta.abs_error
-    uppers = [lemma1]
+    # 0 <= delta <= H(Z) holds for every law
+    uppers = [discrete_entropy(z).nats, lemma1]
     if lemma4 is not None:
         uppers.append(lemma3 + lemma4)
     if thm1 is not None:
         uppers.append(thm1)
-    lowers = [b for b in (bern_lb, bigsig_lb) if b is not None]
+    lowers = [b for b in (0.0, bern_lb, bigsig_lb) if b is not None]
+    converged = delta.converged and lemma1.converged
     ok = (
         all(lb <= hi for lb in lowers)
         and all(lo <= ub for ub in uppers)
-        and delta.converged
+        and converged
     )
     return BoundReport(
         sigma=float(sigma),
         z_descriptor=json.dumps(z.to_json(), separators=(",", ":")),
         delta_quadrature=delta.nats,
         delta_error=delta.abs_error,
-        lemma1_numeric_ub=lemma1,
+        lemma1_numeric_ub=float(lemma1),
         lemma3_term=lemma3,
         lemma4_term=lemma4,
         theorem1_ub=thm1,
         bernoulli_lb=bern_lb,
         big_sigma_lb=bigsig_lb,
         sandwich_ok=ok,
-        converged=delta.converged,
+        converged=converged,
     )

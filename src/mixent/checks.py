@@ -160,10 +160,10 @@ def check_bound_chain(cfg: QuadratureConfig, quick: bool = False) -> CheckResult
     for sigma in sigmas:
         g = GaussianDensity(sigma)
         dd = deficit_direct(z, g, cfg)
-        if not dd.converged:
+        l1 = lemma1_upper_bound(g, cfg)
+        if not (dd.converged and l1.converged):
             failures.append(f"NonConvergence at sigma={sigma}")
             continue
-        l1 = lemma1_upper_bound(g, cfg)
         split = lemma3_near_zero_term(g) + lemma4_far_term(g)
         t1 = theorem1_upper_bound(sigma)
         for lo, hi, what in (

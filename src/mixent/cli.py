@@ -120,7 +120,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     hx = gaussian_entropy(g)
     hm = mixture_entropy(m, cfg)
     dd = deficit_direct(z, g, cfg)
-    di = deficit_via_identity(z, g, cfg)
+    di = deficit_via_identity(z, g, cfg, hm)
     quantities = [
         ("H_Z", hz),
         ("h_X", hx),

@@ -222,8 +222,6 @@ class MixtureDensity:
         base outside its support); for a Gaussian base the value is finite at
         any finite ``x``.  Accepts scalars or arrays.
         """
-        if np.ndim(x) == 0:
-            return self._log_density_scalar(float(x))
         x = np.asarray(x, dtype=float)
         terms = np.stack(
             [
@@ -232,18 +230,7 @@ class MixtureDensity:
             ]
         )
         with np.errstate(invalid="ignore"):
-            out = logsumexp(terms, axis=0)
-        return out
-
-    def _log_density_scalar(self, x: float) -> float:
-        terms = [
-            lp + self.base.log_pdf(x - k)
-            for lp, k in zip(self.lattice.log_probs, self.lattice.support)
-        ]
-        m = max(terms)
-        if m == -math.inf:
-            return -math.inf
-        return m + math.log(math.fsum(math.exp(t - m) for t in terms))
+            return logsumexp(terms, axis=0)
 
     def density(self, x):
         return np.exp(self.log_density(x))

@@ -5,10 +5,10 @@ entropy deficit ``delta = H(Z) + h(X) - h(X+Z)`` computed by two routes.
 
     sum_k p_k int f(x-k) ln(1 + sum_{j!=k} p_j f(x-j) / (p_k f(x-k))) dx
 
-term by term, with the ratio inside ``ln(1 + .)`` formed as the exponential
-of a log-space difference; ``deficit_via_identity`` subtracts the quadrature
-mixture entropy from ``H(Z) + h(X)``.  The two routes are independent checks
-of each other, and a seeded Monte Carlo estimator provides a third.
+and ``deficit_via_identity`` subtracts the quadrature mixture entropy from
+``H(Z) + h(X)``.  Both integrate per cluster of overlapping atom windows, one
+fused integrand per cluster evaluating all of its atoms in one numpy call.
+The two routes check each other, and a seeded Monte Carlo estimator is a third.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .distributions import (
 )
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 
-# Mass truncated beyond this many sigmas outside the extreme lattice points
-# is below exp(-800), far under every tolerance in use.
+# Gaussian mass truncated beyond this many sigmas from an atom is below
+# exp(-800), far under every tolerance in use.
 WINDOW_SIGMAS = 40.0
 
 # Below this sigma the deficit integral underflows double precision; the
@@ -88,80 +89,96 @@ def base_entropy(base: BaseDensity) -> EntropyValue:
     return EntropyValue(base.entropy_nats(), EntropyMethod.CLOSED_FORM, 0.0)
 
 
-def _integration_window(z: DiscreteLattice, base: BaseDensity):
-    """Effective support and mandatory break points for mixture integrands."""
-    lo_k, hi_k = z.support[0], z.support[-1]
-    if isinstance(base, UniformDensity):
-        w = base.half_width
-        points = sorted({k + s * w for k in z.support for s in (-1.0, 1.0)})
-        return lo_k - w, hi_k + w, points
-    pad = WINDOW_SIGMAS * base.sigma
-    return lo_k - pad, hi_k + pad, [float(k) for k in z.support]
+class _Cluster(NamedTuple):
+    """Atoms whose windows (``k +- 40 sigma``, or a uniform base's support)
+    overlap.  Every point of ``[lo, hi]`` is at least one window from any
+    atom outside the cluster, where a Gaussian component is below
+    ``exp(-800)`` of its peak, so clusters are integrated apart."""
+
+    lo: float
+    hi: float
+    support: np.ndarray
+    log_probs: np.ndarray
+    # Gaussian peaks (the atoms) or uniform edges: mandatory break points
+    points: list[float]
+
+    def log_terms(self, base: BaseDensity, x: float) -> np.ndarray:
+        """``ln p_k + ln f(x - k)`` for every atom of the cluster."""
+        return self.log_probs + base.log_pdf(x - self.support)
+
+
+def _clusters(z: DiscreteLattice, base: BaseDensity) -> list[_Cluster]:
+    """Merge the atoms' windows into clusters, in support order."""
+    uniform = isinstance(base, UniformDensity)
+    pad = base.half_width if uniform else WINDOW_SIGMAS * base.sigma
+    ks = np.asarray(z.support, dtype=float)
+    # windows that at most touch share no mass: start a new cluster there
+    cuts = np.flatnonzero(np.diff(ks) >= 2.0 * pad) + 1
+    clusters = []
+    for idx in np.split(np.arange(ks.size), cuts):
+        # integrals are shift invariant: centre each cluster on its first
+        # atom so far-out atoms lose no digits to large abscissae
+        k = ks[idx] - ks[idx[0]]
+        points = np.union1d(k - pad, k + pad) if uniform else k
+        lps = np.asarray(z.log_probs)[idx]
+        clusters.append(_Cluster(k[0] - pad, k[-1] + pad, k, lps, points.tolist()))
+    return clusters
+
+
+def _integrate_clusters(clusters, base, integrand_for, cfg) -> EntropyValue:
+    """One quadrature per cluster, summed; errors add, and all must converge."""
+    total = err = 0.0
+    converged = True
+    for c in clusters:
+        qr = integrate(integrand_for(c, base), c.lo, c.hi, cfg, points=c.points)
+        total += qr.value
+        err += qr.abs_error_estimate
+        converged = converged and qr.converged
+    return EntropyValue(total, EntropyMethod.QUADRATURE, err, converged)
+
+
+def _entropy_integrand(c: _Cluster, base: BaseDensity):
+    """Integrand ``-M ln M`` of the cluster's mixture density ``M``."""
+
+    def integrand(x: float) -> float:
+        t = c.log_terms(base, x)
+        top = t.max()
+        if top == -math.inf:
+            return 0.0
+        ld = top + math.log(np.exp(t - top).sum())
+        return -math.exp(ld) * ld
+
+    return integrand
 
 
 def mixture_entropy(
     m: MixtureDensity, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> EntropyValue:
-    """``-int f_{X+Z} ln f_{X+Z}`` by adaptive quadrature over the effective
-    support (lattice extremes +- 40 sigma, or the exact support for a
-    uniform base)."""
-    lo, hi, points = _integration_window(m.lattice, m.base)
-
-    def integrand(x: float) -> float:
-        ld = m._log_density_scalar(x)
-        if not math.isfinite(ld):
-            return 0.0
-        p = math.exp(ld)
-        if p == 0.0:
-            return 0.0
-        return -p * ld
-
-    qr = integrate(integrand, lo, hi, cfg, points=points)
-    return EntropyValue(
-        qr.value, EntropyMethod.QUADRATURE, qr.abs_error_estimate, qr.converged
+    """``-int f_{X+Z} ln f_{X+Z}`` by adaptive quadrature, one integral per
+    cluster of overlapping atom windows."""
+    return _integrate_clusters(
+        _clusters(m.lattice, m.base), m.base, _entropy_integrand, cfg
     )
 
 
-def _deficit_term_integrand(
-    z: DiscreteLattice, base: BaseDensity, index: int
-):
-    """Integrand ``p_k f(x-k) ln(1 + r_k(x))`` for one mixture component.
+def _deficit_integrand(c: _Cluster, base: BaseDensity):
+    """Integrand ``sum_k p_k f(x-k) ln(1 + r_k(x))`` over the cluster's
+    atoms, ``r_k`` being the other atoms' mass over atom ``k``'s.
 
-    The ratio ``r_k`` is evaluated as ``exp(L)`` of a log-space difference
-    and fed through ``log1p``; for ``L > 30`` the algebraic form
-    ``L + log1p(exp(-L))`` avoids overflow.  Places where the component (or
-    every other component) vanishes contribute zero, the continuous limit.
+    ``ln(1 + r_k)`` is ``logaddexp(0, ln r_k)``, never ``ln M(x) - t_k``, so
+    it keeps its relative accuracy where ``r_k`` is doubly-exponentially
+    small.  A vanishing component contributes zero, the continuous limit.
     """
-    terms = list(zip(z.log_probs, z.support))
-    lp_k, k = terms[index]
-    others = terms[:index] + terms[index + 1 :]
-    log_pdf = base.log_pdf
+    # row k of off_diagonal * e holds every scaled component but the k-th
+    off_diagonal = 1.0 - np.eye(c.support.size)
 
     def integrand(x: float) -> float:
-        ld_self = lp_k + log_pdf(x - k)
-        if ld_self == -math.inf:
-            return 0.0
-        m_best = -math.inf
-        vals = []
-        for lp_j, j in others:
-            t = lp_j + log_pdf(x - j)
-            vals.append(t)
-            if t > m_best:
-                m_best = t
-        if m_best == -math.inf:
-            return 0.0
-        ld_others = m_best + math.log(
-            math.fsum(math.exp(t - m_best) for t in vals)
-        )
-        ratio_log = ld_others - ld_self
-        if ratio_log > 30.0:
-            ln1p_ratio = ratio_log + math.log1p(math.exp(-ratio_log))
-        else:
-            ln1p_ratio = math.log1p(math.exp(ratio_log))
-        weight = math.exp(ld_self)
-        if weight == 0.0:
-            return 0.0
-        return weight * ln1p_ratio
+        t = c.log_terms(base, x)
+        top = t.max()
+        e = np.exp(t - top)
+        others = (off_diagonal * e).sum(axis=1)
+        ln1p_ratio = np.logaddexp(0.0, np.log(others) + (top - t))
+        return math.exp(top) * float((e * np.where(e > 0.0, ln1p_ratio, 0.0)).sum())
 
     return integrand
 
@@ -171,7 +188,9 @@ def deficit_direct(
     base: BaseDensity,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> EntropyValue:
-    """Deficit ``H(Z) + h(X) - h(X+Z)`` from its defining integral.
+    """Deficit ``H(Z) + h(X) - h(X+Z)`` from its defining integral, one
+    quadrature per cluster of overlapping atom windows; a lone atom overlaps
+    nothing and adds 0.
 
     For a Gaussian base with ``sigma < SMALL_SIGMA_FLOOR`` the integral
     underflows double precision; the result is then 0 with the closed-form
@@ -183,30 +202,26 @@ def deficit_direct(
         return EntropyValue(
             0.0, EntropyMethod.QUADRATURE, theorem1_upper_bound(base.sigma)
         )
-    lo, hi, points = _integration_window(z, base)
-    total = 0.0
-    err = 0.0
-    converged = True
-    for index in range(len(z.support)):
-        qr = integrate(
-            _deficit_term_integrand(z, base, index), lo, hi, cfg, points=points
-        )
-        total += qr.value
-        err += qr.abs_error_estimate
-        converged = converged and qr.converged
-    return EntropyValue(total, EntropyMethod.QUADRATURE, err, converged)
+    clusters = [c for c in _clusters(z, base) if c.support.size > 1]
+    # log(0) of an empty "others" sum is meant (ln(1 + 0) = 0); the inf/nan
+    # terms of a zero component (uniform base) are masked by their weight
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _integrate_clusters(clusters, base, _deficit_integrand, cfg)
 
 
 def deficit_via_identity(
     z: DiscreteLattice,
     base: BaseDensity,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    hm: Optional[EntropyValue] = None,
 ) -> EntropyValue:
-    """Deficit as ``H(Z) + h(X) - h(X+Z)`` with the mixture entropy from
-    quadrature; the error is the sum of the component error estimates."""
+    """Deficit as ``H(Z) + h(X) - h(X+Z)`` with the mixture entropy ``hm``
+    (from quadrature unless given); the error is the sum of the component
+    error estimates."""
     hz = discrete_entropy(z)
     hx = base_entropy(base)
-    hm = mixture_entropy(MixtureDensity(base, z), cfg)
+    if hm is None:
+        hm = mixture_entropy(MixtureDensity(base, z), cfg)
     return EntropyValue(
         hz.nats + hx.nats - hm.nats,
         EntropyMethod.IDENTITY,

@@ -35,14 +35,6 @@ class DomainError(ValueError):
     """Argument outside the domain where a closed-form bound is meaningful."""
 
 
-class NonConvergence(RuntimeError):
-    """Subdivision budget exhausted with the error estimate above tolerance.
-
-    Quadrature itself never raises this (it returns the flagged result); the
-    class exists for callers that want to escalate an unconverged flag.
-    """
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-12

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+import mixent.bounds as bounds_mod
 from mixent.bounds import (
     CSV_COLUMNS,
     bernoulli_lower_bound,
@@ -14,7 +16,7 @@ from mixent.bounds import (
     theorem1_upper_bound,
 )
 from mixent.distributions import DiscreteLattice, GaussianDensity
-from mixent.entropy import deficit_direct
+from mixent.entropy import EntropyMethod, EntropyValue, deficit_direct
 from mixent.numerics import DomainError
 
 LN2 = math.log(2.0)
@@ -189,3 +191,30 @@ class TestSandwichReport:
         assert doc["ok"] is True
         assert doc["z"] == FAIR.to_json()
         assert doc["bigsig_lb"] is None
+
+    def test_unconverged_lemma1_is_not_ok(self, monkeypatch):
+        real = bounds_mod.integrate
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(bounds_mod, "integrate", unconverged)
+        r = sandwich_report(FAIR, 0.25)
+        assert not r.converged
+        assert not r.sandwich_ok
+        assert r.to_json_dict()["converged"] is False
+
+    @pytest.mark.parametrize(
+        "z, delta",
+        [
+            (FAIR, 1.0),  # above H(Z) = ln 2, below lemma1 = 1.467
+            (DiscreteLattice.bernoulli(0.3), -1e-3),  # no lower bound applies
+        ],
+    )
+    def test_impossible_deficit_is_not_ok(self, monkeypatch, z, delta):
+        impossible = EntropyValue(delta, EntropyMethod.QUADRATURE, 1e-12)
+        monkeypatch.setattr(bounds_mod, "deficit_direct", lambda *args: impossible)
+        r = sandwich_report(z, 1.0)
+        assert r.converged
+        assert r.lemma1_numeric_ub > 1.0
+        assert not r.sandwich_ok

@@ -5,7 +5,8 @@ import pytest
 
 from mixent.bounds import sandwich_report
 from mixent.cli import main
-from mixent.distributions import DiscreteLattice
+from mixent.distributions import DiscreteLattice, GaussianDensity
+from mixent.entropy import deficit_via_identity
 
 LN2 = math.log(2.0)
 FAIR_JSON = '{"bernoulli":0.5}'
@@ -41,6 +42,19 @@ class TestEntropyCommand:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["delta_direct"]["nats"]) <= 1e-12
+
+    def test_mixture_entropy_integrated_once(self, capsys, integrate_calls):
+        code, out, _ = run_cli(
+            capsys, "entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
+            "--format", "json",
+        )
+        assert code == 0
+        # one cluster: one quadrature for the direct route, one for h(X+Z)
+        assert len(integrate_calls) == 2
+        expected = deficit_via_identity(
+            DiscreteLattice.bernoulli(0.5), GaussianDensity(0.25)
+        )
+        assert json.loads(out)["delta_identity"]["nats"] == expected.nats
 
     def test_malformed_probs_exit_2_naming_invariant(self, capsys):
         code, _, err = run_cli(

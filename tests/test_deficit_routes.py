@@ -1,0 +1,170 @@
+"""Regression tests of the two quadrature routes against sources of truth
+that share no code with them: an mpmath reference integral, the cluster
+decomposition of well-separated supports, closed forms for a uniform base,
+and values frozen from the per-atom implementation the routes replaced."""
+
+import math
+
+import mpmath
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mixent.checks import test_grid_laws as grid_laws
+from mixent.distributions import (
+    DiscreteLattice,
+    GaussianDensity,
+    MixtureDensity,
+    UniformDensity,
+)
+from mixent.entropy import (
+    deficit_direct,
+    deficit_via_identity,
+    discrete_entropy,
+    mixture_entropy,
+)
+
+FAIR = DiscreteLattice.bernoulli(0.5)
+THREE_ATOM = DiscreteLattice((0, 1, 2), (0.2, 0.5, 0.3))
+
+# 30-digit tanh-sinh value of the fair Bernoulli deficit at sigma = 1/4
+FAIR_BERNOULLI_025 = "0.06042698682307832775822"
+
+
+def fair_bernoulli_deficit_mp(sigma: float, dps: int = 30) -> mpmath.mpf:
+    """Fair Bernoulli deficit by mpmath quadrature.  Both atoms contribute
+    the same term, ``int f(x) ln(1 + f(x-1)/f(x)) dx``, and the ratio is
+    ``exp((2x - 1) / (2 sigma^2))``."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(sigma)
+        c = 1 / (2 * s * s)
+        norm = 1 / (mpmath.sqrt(2 * mpmath.pi) * s)
+
+        def integrand(x):
+            ratio = mpmath.exp(c * (2 * x - 1))
+            return norm * mpmath.exp(-c * x * x) * mpmath.log1p(ratio)
+
+        return mpmath.quad(integrand, [-mpmath.inf, 0, 0.5, 1, mpmath.inf])
+
+
+def test_mpmath_reference_reproduces_published_digits():
+    with mpmath.workdps(30):
+        ref = fair_bernoulli_deficit_mp(0.25)
+        assert abs(ref - mpmath.mpf(FAIR_BERNOULLI_025)) < mpmath.mpf("1e-22")
+
+
+@pytest.mark.parametrize("route", [deficit_direct, deficit_via_identity])
+def test_fair_bernoulli_matches_mpmath(route):
+    value = route(FAIR, GaussianDensity(0.25)).nats
+    assert abs(value - float(FAIR_BERNOULLI_025)) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.25, 1.0])
+@pytest.mark.parametrize("far", [10**3, 10**4])
+@pytest.mark.parametrize("route", [deficit_direct, deficit_via_identity])
+def test_separated_clusters_decompose(route, far, sigma):
+    # the atom at `far` overlaps nothing, so delta = 0.8 * delta_Bern(1/2)
+    z = DiscreteLattice((0, 1, far), (0.4, 0.4, 0.2))
+    expected = 0.8 * float(fair_bernoulli_deficit_mp(sigma))
+    v = route(z, GaussianDensity(sigma))
+    assert v.converged
+    assert abs(v.nats - expected) <= v.abs_error
+
+
+def test_overlapping_uniform_components():
+    # fair Bernoulli + U(-3/4, 3/4): density 1/3 on two unit intervals and
+    # 2/3 on their half-length overlap, so delta = ln(2) / 3 exactly
+    u = UniformDensity(0.75)
+    for v in (deficit_direct(FAIR, u), deficit_via_identity(FAIR, u)):
+        assert abs(v.nats - math.log(2.0) / 3.0) <= max(v.abs_error, 1e-14)
+
+
+# (law, sigma, deficit_direct, mixture_entropy) from the per-atom routes
+PINNED = [
+    ("bernoulli(1/2)", 0.05, 7.970702240461401e-23, -0.883646559789373),
+    ("bernoulli(1/2)", 0.1, 8.63165960845319e-07, -0.19050024239538832),
+    ("bernoulli(1/2)", 0.25, 0.06042698682307834, 0.6653643658216492),
+    ("bernoulli(1/2)", 0.45, 0.3076679522545335, 1.005910065292313),
+    ("bernoulli(1/2)", 1.0, 0.5817256983752093, 1.5303600153894092),
+    ("bernoulli(0.3)", 0.05, 7.024511603647217e-23, -0.9659294382944245),
+    ("bernoulli(0.3)", 0.1, 7.886694842676672e-07, -0.27278304640396334),
+    ("bernoulli(0.3)", 0.25, 0.054714618042529195, 0.5887938560971465),
+    ("bernoulli(0.3)", 0.45, 0.2759348312807022, 0.9553603077610923),
+    ("bernoulli(0.3)", 1.0, 0.5159538281680962, 1.5138490070914699),
+    ("uniform{-1,0,1}", 0.05, 1.0627602987281913e-22, -0.47818145168120807),
+    ("uniform{-1,0,1}", 0.1, 1.1508879477937593e-06, 0.2149645779907891),
+    ("uniform{-1,0,1}", 0.25, 0.08056935159119413, 1.0506871091616978),
+    ("uniform{-1,0,1}", 0.45, 0.41203151505802355, 1.3070116105969873),
+    ("uniform{-1,0,1}", 1.0, 0.8448063040242151, 1.6727445178485674),
+    ("geometric{0..5}", 0.05, 1.080492540342296e-22, -0.27226175339375214),
+    ("geometric{0..5}", 0.1, 1.19884874661259e-06, 0.4208842283174731),
+    ("geometric{0..5}", 0.25, 0.08342031109330064, 1.2537558479470476),
+    ("geometric{0..5}", 0.45, 0.42457010473071677, 1.5003927192117508),
+    ("geometric{0..5}", 1.0, 0.8990996672873931, 1.8243708528728457),
+    ("bernoulli(1/2)", 0.03, 3.306657653822466e-61, -1.3944721835553628),
+    ("three_atom", 0.03, 4.522620164627942e-61, -1.057966350050736),
+    ("three_atom", 0.05, 1.0901786076983425e-22, -0.5471407262847446),
+]
+
+
+@pytest.mark.parametrize("label, sigma, direct, h_mixture", PINNED)
+def test_pinned_values(label, sigma, direct, h_mixture):
+    z = {**grid_laws(), "three_atom": THREE_ATOM}[label]
+    g = GaussianDensity(sigma)
+    dd = deficit_direct(z, g).nats
+    hm = mixture_entropy(MixtureDensity(g, z)).nats
+    assert abs(dd - direct) <= 1e-12
+    assert abs(hm - h_mixture) <= 1e-12
+    if sigma <= 0.05:
+        assert abs(dd - direct) <= 1e-9 * direct
+
+
+@pytest.mark.parametrize(
+    "z, direct_calls, mixture_calls",
+    [
+        (DiscreteLattice.uniform_support(24), 1, 1),
+        (DiscreteLattice((0, 1, 10**4), (0.4, 0.4, 0.2)), 1, 2),
+        (DiscreteLattice.point_mass(3), 0, 1),
+    ],
+)
+def test_one_quadrature_per_cluster(integrate_calls, z, direct_calls, mixture_calls):
+    g = GaussianDensity(0.25)
+    deficit_direct(z, g)
+    assert len(integrate_calls) == direct_calls
+    integrate_calls.clear()
+    mixture_entropy(MixtureDensity(g, z))
+    assert len(integrate_calls) == mixture_calls
+
+
+@st.composite
+def wide_laws(draw):
+    # near gaps build multi-atom clusters, far ones separate them; the span
+    # stays below 10^6
+    gaps = draw(
+        st.lists(
+            st.one_of(st.integers(1, 4), st.integers(5, 140_000)),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    support = [0]
+    for gap in gaps:
+        support.append(support[-1] + gap)
+    weights = draw(
+        st.lists(st.floats(0.05, 1.0), min_size=len(support), max_size=len(support))
+    )
+    total = math.fsum(weights)
+    return DiscreteLattice(tuple(support), tuple(w / total for w in weights))
+
+
+@given(z=wide_laws(), sigma=st.floats(0.05, 4.0))
+def test_routes_agree_on_random_supports(z, sigma):
+    g = GaussianDensity(sigma)
+    dd = deficit_direct(z, g)
+    di = deficit_via_identity(z, g)
+    assert dd.converged and di.converged
+    budget = dd.abs_error + di.abs_error
+    assert abs(dd.nats - di.nats) <= budget
+    hz = discrete_entropy(z).nats
+    for v in (dd, di):
+        assert -v.abs_error <= v.nats <= hz + v.abs_error
