@@ -22,19 +22,26 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .distributions import DiscreteLattice, GaussianDensity, tail_mass
-from .entropy import EntropyValue, deficit_direct, discrete_entropy
+from .entropy import (
+    WINDOW_SIGMAS,
+    EntropyValue,
+    _Cluster,
+    _deficit_integrand,
+    deficit_direct,
+    discrete_entropy,
+)
 from .numerics import (
+    _LN2,
+    _SQRT_2PI,
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureConfig,
     QuadratureResult,
     integrate,
-    lattice_sum_excluding_zero,
 )
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LN2 = math.log(2.0)
 
 
 def _require_subcritical(sigma: float, what: str) -> float:
@@ -45,11 +52,13 @@ def _require_subcritical(sigma: float, what: str) -> float:
 
 
 class BoundValue(float):
-    """A float that also carries the ``converged`` flag of its quadrature."""
+    """A float that also carries its quadrature's ``converged`` flag and
+    ``abs_error`` estimate."""
 
     def __new__(cls, qr: QuadratureResult) -> "BoundValue":
         value = super().__new__(cls, qr.value)
         value.converged = qr.converged
+        value.abs_error = qr.abs_error_estimate
         return value
 
 
@@ -58,29 +67,23 @@ def lemma1_upper_bound(
 ) -> BoundValue:
     """Numeric value of the Z-independent deficit bound
 
-        int f(y) ln(1 + sum_{m != 0} f(y+m) / f(y)) dy.
+        L = int f(y) ln(1 + sum_{m != 0} f(y+m) / f(y)) dy.
 
-    The ratio is formed in log space; the integrand decays under the Gaussian
-    envelope, so integration over lattice extremes +- 40 sigma is exact to
-    well below double precision.  The result also carries ``converged``.
+    With ``y = u + n``, ``|u| <= 1/2``, it folds onto one period:
+
+        L = int_{-1/2}^{1/2} sum_n f(u+n) ln(1 + sum_{j != n} f(u+j) / f(u+n)) du,
+
+    which is the direct-route deficit integrand on unit-weight atoms
+    ``n = -M..M``, ``M = ceil(1/2 + 40 sigma)`` (farther atoms are below
+    ``exp(-800)`` of their peak on the period), integrated once.  The
+    result also carries ``converged`` and ``abs_error``.
     """
-    sigma = g.sigma
-    log_pdf = g.log_pdf
-
-    def integrand(y: float) -> float:
-        s = lattice_sum_excluding_zero(g, y)
-        if s <= 0.0:
-            return 0.0
-        lf = log_pdf(y)
-        ratio_log = math.log(s) - lf
-        # logaddexp(0, ratio_log) in scalar math: ln(1 + r) without overflow
-        ln1p_ratio = max(ratio_log, 0.0) + math.log1p(math.exp(-abs(ratio_log)))
-        return math.exp(lf) * ln1p_ratio
-
-    window = 1.0 + 40.0 * sigma
-    # kinks sit at half-integers (nearest-lattice-point switches) and integers
-    points = [0.5 * n for n in range(-2 * int(window), 2 * int(window) + 1)]
-    return BoundValue(integrate(integrand, -window, window, cfg, points=points))
+    m = math.ceil(0.5 + WINDOW_SIGMAS * g.sigma)
+    atoms = np.arange(-m, m + 1, dtype=float)
+    c = _Cluster(-0.5, 0.5, atoms, np.zeros(atoms.size), [0.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qr = integrate(_deficit_integrand(c, g), c.lo, c.hi, cfg, points=c.points)
+    return BoundValue(qr)
 
 
 def lemma3_near_zero_term(g: GaussianDensity) -> float:

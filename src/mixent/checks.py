@@ -39,13 +39,13 @@ from .entropy import (
 )
 from .landauer import BitMemoryModel, reset_report
 from .numerics import (
+    _LN2,
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     gaussian_tail_lower,
     lattice_sum,
 )
 
-_LN2 = math.log(2.0)
 
 # Frozen reference values, evaluated from the closed forms at high precision.
 BIG_SIGMA_LB_AT_1 = 0.21386192506482276  # ln 2 * Q(1/2) via erfc

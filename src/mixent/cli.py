@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import landauer as landauer_mod
+from .bounds import _fmt
 from .checks import run_all_checks
 from .distributions import (
     DiscreteLattice,
@@ -55,10 +56,6 @@ _SWEEP_COLUMNS_HELP = (
 
 class CliError(Exception):
     """Invalid arguments or inputs; maps to exit code 2."""
-
-
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.15g}"
 
 
 def _env_float(name: str, fallback: float) -> float:

@@ -168,15 +168,22 @@ def _deficit_integrand(c: _Cluster, base: BaseDensity):
     ``ln(1 + r_k)`` is ``logaddexp(0, ln r_k)``, never ``ln M(x) - t_k``, so
     it keeps its relative accuracy where ``r_k`` is doubly-exponentially
     small.  A vanishing component contributes zero, the continuous limit.
+
+    The "others" sums cost O(K): only the dominant atom's is summed on its
+    own; every other atom's is the total minus its own term, which loses at
+    most one bit because that sum is at least 1 and the term at most 1.
     """
-    # row k of off_diagonal * e holds every scaled component but the k-th
-    off_diagonal = 1.0 - np.eye(c.support.size)
 
     def integrand(x: float) -> float:
         t = c.log_terms(base, x)
-        top = t.max()
+        i = t.argmax()
+        top = t[i]
         e = np.exp(t - top)
-        others = (off_diagonal * e).sum(axis=1)
+        e[i] = 0.0
+        rest = e.sum()
+        others = (rest + 1.0) - e
+        others[i] = rest
+        e[i] = 1.0
         ln1p_ratio = np.logaddexp(0.0, np.log(others) + (top - t))
         return math.exp(top) * float((e * np.where(e > 0.0, ln1p_ratio, 0.0)).sum())
 

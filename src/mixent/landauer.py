@@ -18,9 +18,8 @@ from typing import Optional
 
 from .distributions import DiscreteLattice, DistributionError, GaussianDensity
 from .entropy import deficit_direct
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
+from .numerics import _LN2, DEFAULT_QUADRATURE, QuadratureConfig
 
-_LN2 = math.log(2.0)
 
 CSV_COLUMNS = (
     "mu",

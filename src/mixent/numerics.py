@@ -20,6 +20,7 @@ from scipy.integrate import quad as _quadpack
 from .distributions import GaussianDensity
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN2 = math.log(2.0)
 
 # Lattice series stop when the next term falls below this fraction of the
 # running sum (scale-free; terms decay at least geometrically).
@@ -109,27 +110,16 @@ def lattice_sum(g: GaussianDensity, epsilon: float) -> float:
     sigma = g.sigma
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
     eps = float(epsilon) - round(float(epsilon))
-    if eps == 0.0:
-        # exact symmetric pairing around the on-lattice peak
-        total = 1.0
-        m = 1
-        while True:
-            t = 2.0 * math.exp(-(m * m) * inv2s2)
-            total += t
-            if m >= _MIN_SERIES_TERMS and t <= SERIES_TRUNCATION * total:
-                break
-            m += 1
-    else:
-        total = math.exp(-(eps * eps) * inv2s2)
-        m = 1
-        while True:
-            up = eps + m
-            dn = eps - m
-            t = math.exp(-(up * up) * inv2s2) + math.exp(-(dn * dn) * inv2s2)
-            total += t
-            if m >= _MIN_SERIES_TERMS and t <= SERIES_TRUNCATION * total:
-                break
-            m += 1
+    total = math.exp(-(eps * eps) * inv2s2)
+    m = 1
+    while True:
+        up = eps + m
+        dn = eps - m
+        t = math.exp(-(up * up) * inv2s2) + math.exp(-(dn * dn) * inv2s2)
+        total += t
+        if m >= _MIN_SERIES_TERMS and t <= SERIES_TRUNCATION * total:
+            break
+        m += 1
     return total / (_SQRT_2PI * sigma)
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 import mixent.bounds as bounds_mod
@@ -15,12 +17,74 @@ from mixent.bounds import (
     sandwich_report,
     theorem1_upper_bound,
 )
+from mixent.checks import SHARPNESS_GRID
 from mixent.distributions import DiscreteLattice, GaussianDensity
 from mixent.entropy import EntropyMethod, EntropyValue, deficit_direct
 from mixent.numerics import DomainError
 
 LN2 = math.log(2.0)
 FAIR = DiscreteLattice.bernoulli(0.5)
+
+
+def lemma1_mp(sigma: float, dps: int = 30) -> mpmath.mpf:
+    """Lemma 1 as ``h(X) - h(X mod 1) = (1/2) ln(2 pi e sigma^2) + int theta ln theta``
+    over one period, with the periodized density in its Jacobi theta form
+    ``theta(y) = 1 + 2 sum_k exp(-2 pi^2 sigma^2 k^2) cos(2 pi k y)``."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(sigma)
+        qs = [
+            mpmath.exp(-2 * mpmath.pi**2 * s**2 * k**2)
+            for k in range(1, int(3 / sigma) + 3)
+        ]
+
+        def theta(y):
+            return 1 + 2 * mpmath.fsum(
+                q * mpmath.cos(2 * mpmath.pi * k * y) for k, q in enumerate(qs, 1)
+            )
+
+        integral = mpmath.quad(lambda y: theta(y) * mpmath.log(theta(y)), [-0.5, 0, 0.5])
+        return mpmath.log(2 * mpmath.pi * mpmath.e * s**2) / 2 + integral
+
+
+# Lemma 1 from the lattice-sum integrand over the whole line, on the sigma
+# grids of geomspace(0.03, 8, 12), geomspace(0.03, 4, 12) and SHARPNESS_GRID
+PINNED_SWEEP_TO_8 = (
+    7.0334645882775545e-62,
+    3.490975957871922e-23,
+    4.808782250122698e-09,
+    0.0008199794065320967,
+    0.07787834478818462,
+    0.45481608246757194,
+    0.9592895661691675,
+    1.467107551611848,
+    1.974925682430013,
+    2.4827438132481774,
+    2.9905619440663442,
+    3.4983800748845097,
+)
+PINNED_SWEEP_TO_4 = (
+    7.0334645882775545e-62,
+    3.824708539127508e-26,
+    2.3137795356071834e-11,
+    3.400003818059456e-05,
+    0.013869594840869625,
+    0.18552653580471198,
+    0.5818259621492474,
+    1.0260139066140064,
+    1.4708186420227798,
+    1.9156233927900412,
+    2.360428143557302,
+    2.8052328943245635,
+)
+PINNED_SHARPNESS_GRID = (
+    0.0024821134911915746,
+    0.034409206371645656,
+    0.12085408112742649,
+    0.24400504848862867,
+    0.37708565102413805,
+    0.5044556002789087,
+    0.6207682472600499,
+)
 
 
 class TestClosedForms:
@@ -115,6 +179,44 @@ class TestLemma1:
         assert lemma1_upper_bound(GaussianDensity(0.25)) == pytest.approx(
             0.1208540811274, rel=1e-10
         )
+
+    @pytest.mark.parametrize("sigma", [0.25, 1.0, 4.0, 8.0])
+    def test_matches_theta_function_oracle(self, sigma):
+        value = lemma1_upper_bound(GaussianDensity(sigma))
+        assert value.converged
+        assert abs(value - float(lemma1_mp(sigma))) <= 1e-12 * value
+
+    @pytest.mark.parametrize(
+        "sigma, pinned",
+        [
+            *zip(np.geomspace(0.03, 8.0, 12), PINNED_SWEEP_TO_8),
+            *zip(np.geomspace(0.03, 4.0, 12), PINNED_SWEEP_TO_4),
+            *zip(SHARPNESS_GRID, PINNED_SHARPNESS_GRID),
+        ],
+    )
+    def test_pinned_values(self, sigma, pinned):
+        value = lemma1_upper_bound(GaussianDensity(float(sigma)))
+        assert value.converged
+        assert abs(value - pinned) <= 1e-12
+        assert abs(value - pinned) <= 1e-10 * pinned
+
+    @pytest.mark.parametrize("sigma", [0.03, 0.25, 8.0])
+    def test_one_quadrature_over_one_period(self, monkeypatch, sigma):
+        calls = []
+        real = bounds_mod.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_mod, "integrate", counting)
+        lemma1_upper_bound(GaussianDensity(sigma))
+        assert calls == [(-0.5, 0.5)]
+
+    def test_carries_quadrature_error(self):
+        value = lemma1_upper_bound(GaussianDensity(0.25))
+        assert 0.0 <= value.abs_error <= 1e-10
+        assert abs(value - float(lemma1_mp(0.25))) <= value.abs_error + 1e-15
 
 
 class TestOrderingChain:

@@ -102,6 +102,20 @@ class TestLatticeSum:
             expected, rel=1e-13
         )
 
+    @pytest.mark.parametrize(
+        "sigma, expected",
+        [
+            (0.1, 3.989422804014327),
+            (0.5, 1.0143837720622289),
+            (1.0, 1.0000000053505758),
+            (3.0, 1.0000000000000002),
+        ],
+    )
+    def test_on_lattice_values_are_exact_pairings(self, sigma, expected):
+        # the peak plus 2 exp(-m^2 / (2 sigma^2)) per pair, to the last bit
+        for eps in (0.0, -0.0, 4.0, -3.0):
+            assert lattice_sum(GaussianDensity(sigma), eps) == expected
+
     @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.25, 0.5])
     def test_below_inverse_sigma(self, sigma):
         g = GaussianDensity(sigma)
