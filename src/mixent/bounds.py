@@ -144,10 +144,6 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.15g}"
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Deficit estimate for one ``(sigma, Z)`` pair with every applicable bound.
@@ -186,20 +182,6 @@ class BoundReport:
             "ok": self.sandwich_ok,
             "converged": self.converged,
         }
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            _fmt(self.sigma),
-            _fmt(self.delta_quadrature),
-            _fmt(self.delta_error),
-            _fmt(self.lemma1_numeric_ub),
-            _fmt(self.lemma3_term),
-            _fmt(self.lemma4_term),
-            _fmt(self.theorem1_ub),
-            _fmt(self.bernoulli_lb),
-            _fmt(self.big_sigma_lb),
-            "true" if self.sandwich_ok else "false",
-        ]
 
 
 def sandwich_report(

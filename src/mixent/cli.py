@@ -19,7 +19,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import landauer as landauer_mod
-from .bounds import _fmt
 from .checks import run_all_checks
 from .distributions import (
     DiscreteLattice,
@@ -75,10 +74,7 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
     rel_tol = args.quad_rel_tol
     if rel_tol is None:
         rel_tol = _env_float(ENV_REL_TOL, 1e-10)
-    try:
-        return QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def _parse_dist(spec: str) -> DiscreteLattice:
@@ -91,6 +87,37 @@ def _parse_dist(spec: str) -> DiscreteLattice:
     return DiscreteLattice.from_json(text)
 
 
+def _cell(x) -> str:
+    """One CSV/text cell: empty for None, true/false, strings as they are,
+    numbers to 15 significant digits."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return x
+    return f"{x:.15g}"
+
+
+def _table(fmt: str, header: tuple[str, ...], rows: list[list]) -> str:
+    """``rows`` under ``header`` as CSV, or as a left-aligned text table."""
+    lines = [list(header)] + [[_cell(x) for x in row] for row in rows]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in lines)
+    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n" for line in lines
+    )
+
+
+def _labelled(label: str, width: int, value, err=None, tail: str = "") -> str:
+    """One text-report line: ``label  value  (+- err<tail>)``."""
+    line = f"{label:<{width}} {_cell(value):>22}"
+    if err is not None:
+        line += f"  (+- {err:.3e}{tail})"
+    return line
+
+
 def _emit(args: argparse.Namespace, payload: str) -> None:
     if args.output in (None, "stdout", "-"):
         sys.stdout.write(payload)
@@ -98,10 +125,29 @@ def _emit(args: argparse.Namespace, payload: str) -> None:
         Path(args.output).write_text(payload, encoding="utf-8")
 
 
-def _csv_lines(header: tuple[str, ...], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _render(
+    args: argparse.Namespace,
+    doc,
+    header: tuple[str, ...],
+    rows: list[list],
+    text: Optional[list[str]] = None,
+) -> None:
+    """Emit ``doc`` as JSON, ``rows`` as CSV, or the ``text`` lines (``rows``
+    as a text table when no lines are given), as ``--format`` says."""
+    if args.format == "json":
+        payload = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv" or text is None:
+        payload = _table(args.format, header, rows)
+    else:
+        payload = "\n".join(text) + "\n"
+    _emit(args, payload)
+
+
+def _exit_code(converged: bool, what: str = "quadrature") -> int:
+    if converged:
+        return EXIT_OK
+    print(f"warning: {what} did not converge to tolerance", file=sys.stderr)
+    return EXIT_NONCONVERGENCE
 
 
 # ---------------------------------------------------------------- entropy --
@@ -113,17 +159,13 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     cfg = _quad_config(args)
     m = MixtureDensity(g, z)
 
-    hz = discrete_entropy(z)
-    hx = gaussian_entropy(g)
     hm = mixture_entropy(m, cfg)
-    dd = deficit_direct(z, g, cfg)
-    di = deficit_via_identity(z, g, cfg, hm)
     quantities = [
-        ("H_Z", hz),
-        ("h_X", hx),
+        ("H_Z", discrete_entropy(z)),
+        ("h_X", gaussian_entropy(g)),
         ("h_mixture", hm),
-        ("delta_direct", dd),
-        ("delta_identity", di),
+        ("delta_direct", deficit_direct(z, g, cfg)),
+        ("delta_identity", deficit_via_identity(z, g, cfg, hm)),
     ]
     if args.mc_samples > 0:
         quantities.append(
@@ -131,37 +173,17 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         )
     converged = all(v.converged for _, v in quantities)
 
-    if args.format == "json":
-        doc = {
-            "sigma": args.sigma,
-            "z": z.to_json(),
-            "converged": converged,
-        }
-        for name, v in quantities:
-            doc[name] = {
-                "nats": v.nats,
-                "abs_error": v.abs_error,
-                "method": v.method.value,
-            }
-        payload = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = [
-            [name, _fmt(v.nats), _fmt(v.abs_error), v.method.value]
-            for name, v in quantities
-        ]
-        payload = _csv_lines(("quantity", "nats", "abs_error", "method"), rows)
-    else:
-        lines = [f"sigma = {_fmt(args.sigma)}   Z = {json.dumps(z.to_json())}"]
-        for name, v in quantities:
-            lines.append(
-                f"{name:<16} {_fmt(v.nats):>22}  (+- {v.abs_error:.3e}, {v.method.value})"
-            )
-        payload = "\n".join(lines) + "\n"
-    _emit(args, payload)
-    if not converged:
-        print("warning: quadrature did not converge to tolerance", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    doc = {"sigma": args.sigma, "z": z.to_json(), "converged": converged}
+    for name, v in quantities:
+        doc[name] = {"nats": v.nats, "abs_error": v.abs_error, "method": v.method.value}
+    rows = [[name, v.nats, v.abs_error, v.method.value] for name, v in quantities]
+    text = [f"sigma = {_cell(args.sigma)}   Z = {json.dumps(z.to_json())}"]
+    text += [
+        _labelled(name, 16, v.nats, v.abs_error, f", {v.method.value}")
+        for name, v in quantities
+    ]
+    _render(args, doc, ("quantity", "nats", "abs_error", "method"), rows, text)
+    return _exit_code(converged)
 
 
 # ------------------------------------------------------------------ sweep --
@@ -185,61 +207,26 @@ def _sigma_grid(args: argparse.Namespace) -> np.ndarray:
 def cmd_sweep(args: argparse.Namespace) -> int:
     z = _parse_dist(args.dist)
     cfg = _quad_config(args)
-    sigmas = _sigma_grid(args)
     with_mc = args.mc_samples > 0
 
-    reports = []
-    mc_extras: list[tuple[Optional[float], Optional[float]]] = []
-    for i, sigma in enumerate(sigmas):
-        report = bounds_mod.sandwich_report(z, float(sigma), cfg)
-        reports.append(report)
+    docs = []
+    for i, sigma in enumerate(_sigma_grid(args)):
+        doc = bounds_mod.sandwich_report(z, float(sigma), cfg).to_json_dict()
         if with_mc:
             g = GaussianDensity(float(sigma))
             hmc = mc_entropy(
                 MixtureDensity(g, z),
                 McConfig(samples=args.mc_samples, seed=args.seed + i),
             )
-            mc_delta = (
+            doc["mc_delta"] = (
                 discrete_entropy(z).nats + gaussian_entropy(g).nats - hmc.nats
             )
-            mc_extras.append((mc_delta, hmc.abs_error))
-        else:
-            mc_extras.append((None, None))
+            doc["mc_se"] = hmc.abs_error
+        docs.append(doc)
 
-    if args.format == "json":
-        docs = []
-        for report, (mc_delta, mc_se) in zip(reports, mc_extras):
-            doc = report.to_json_dict()
-            if with_mc:
-                doc["mc_delta"] = mc_delta
-                doc["mc_se"] = mc_se
-            docs.append(doc)
-        payload = json.dumps(docs, indent=2) + "\n"
-    else:
-        header = bounds_mod.CSV_COLUMNS + (("mc_delta", "mc_se") if with_mc else ())
-        rows = []
-        for report, (mc_delta, mc_se) in zip(reports, mc_extras):
-            row = report.to_csv_row()
-            if with_mc:
-                row.extend([_fmt(mc_delta), _fmt(mc_se)])
-            rows.append(row)
-        if args.format == "csv":
-            payload = _csv_lines(header, rows)
-        else:
-            widths = [
-                max(len(h), *(len(r[i]) for r in rows))
-                for i, h in enumerate(header)
-            ]
-            lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-            lines.extend(
-                "  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows
-            )
-            payload = "\n".join(lines) + "\n"
-    _emit(args, payload)
-    if not all(r.converged for r in reports):
-        print("warning: some rows did not converge to tolerance", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    header = bounds_mod.CSV_COLUMNS + (("mc_delta", "mc_se") if with_mc else ())
+    _render(args, docs, header, [[doc[c] for c in header] for doc in docs])
+    return _exit_code(all(doc["converged"] for doc in docs), "some rows")
 
 
 # --------------------------------------------------------------- validate --
@@ -269,29 +256,20 @@ def cmd_landauer(args: argparse.Namespace) -> int:
     report = landauer_mod.reset_report(model, cfg)
     if args.bits:
         report = report.in_bits()
-    if args.format == "json":
-        payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    elif args.format == "csv":
-        payload = _csv_lines(landauer_mod.CSV_COLUMNS, [report.to_csv_row()])
-    else:
-        unit = "bits" if args.bits else "nats"
-        lines = [
-            f"mu = {_fmt(report.mu)}  sigma = {_fmt(report.sigma)}  "
-            f"p1 = {_fmt(report.p1)}  [{unit}]",
-            f"h_before   {_fmt(report.h_before):>22}",
-            f"h_after    {_fmt(report.h_after):>22}",
-            f"delta_h    {_fmt(report.delta_h):>22}",
-            f"ideal      {_fmt(report.ideal):>22}",
-            f"deficit    {_fmt(report.deficit_correction):>22}"
-            f"  (+- {report.deficit_error:.3e})",
-            f"envelope   {_fmt(report.thm1_envelope):>22}",
-        ]
-        payload = "\n".join(lines) + "\n"
-    _emit(args, payload)
-    if not report.converged:
-        print("warning: quadrature did not converge to tolerance", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    doc = report.to_json_dict()
+    columns = landauer_mod.CSV_COLUMNS
+    unit = "bits" if args.bits else "nats"
+    text = [
+        f"mu = {_cell(report.mu)}  sigma = {_cell(report.sigma)}  "
+        f"p1 = {_cell(report.p1)}  [{unit}]"
+    ]
+    # one line per entropy column, after mu, sigma and p1
+    text += [
+        _labelled(c, 10, doc[c], doc["deficit_err"] if c == "deficit" else None)
+        for c in columns[3:]
+    ]
+    _render(args, doc, columns, [[doc[c] for c in columns]], text)
+    return _exit_code(report.converged)
 
 
 # ------------------------------------------------------------------- main --

@@ -154,9 +154,6 @@ class GaussianDensity:
         object.__setattr__(self, "sigma", sigma)
 
     def log_pdf(self, x):
-        if np.ndim(x) == 0:
-            u = float(x) / self.sigma
-            return -0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
         u = np.asarray(x, dtype=float) / self.sigma
         return -0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
 
@@ -184,8 +181,6 @@ class UniformDensity:
 
     def log_pdf(self, x):
         inside_log = -math.log(2.0 * self.half_width)
-        if np.ndim(x) == 0:
-            return inside_log if abs(float(x)) < self.half_width else -math.inf
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) < self.half_width, inside_log, -np.inf)
 

@@ -13,7 +13,7 @@ approaches ``ln 2`` nats per bit, the entropy side of the Landauer relation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .distributions import DiscreteLattice, DistributionError, GaussianDensity
@@ -122,39 +122,14 @@ class ResetReport:
             "converged": self.converged,
         }
 
-    def to_csv_row(self) -> list[str]:
-        vals = [
-            self.mu,
-            self.sigma,
-            self.p1,
-            self.h_before,
-            self.h_after,
-            self.delta_h,
-            self.ideal,
-            self.deficit_correction,
-        ]
-        row = [f"{v:.15g}" for v in vals]
-        row.append("" if self.thm1_envelope is None else f"{self.thm1_envelope:.15g}")
-        return row
-
     def in_bits(self) -> "ResetReport":
         """Same report with every entropy converted from nats to bits."""
         scale = 1.0 / _LN2
-        return ResetReport(
-            mu=self.mu,
-            sigma=self.sigma,
-            p1=self.p1,
-            h_before=self.h_before * scale,
-            h_after=self.h_after * scale,
-            delta_h=self.delta_h * scale,
-            ideal=self.ideal * scale,
-            deficit_correction=self.deficit_correction * scale,
-            deficit_error=self.deficit_error * scale,
-            thm1_envelope=None
-            if self.thm1_envelope is None
-            else self.thm1_envelope * scale,
-            converged=self.converged,
-        )
+        nats = ("h_before", "h_after", "delta_h", "ideal",
+                "deficit_correction", "deficit_error", "thm1_envelope")
+        return replace(self, **{
+            f: v * scale for f in nats if (v := getattr(self, f)) is not None
+        })
 
 
 def reset_report(

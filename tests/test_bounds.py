@@ -18,6 +18,7 @@ from mixent.bounds import (
     theorem1_upper_bound,
 )
 from mixent.checks import SHARPNESS_GRID
+from mixent.cli import main
 from mixent.distributions import DiscreteLattice, GaussianDensity
 from mixent.entropy import EntropyMethod, EntropyValue, deficit_direct
 from mixent.numerics import DomainError
@@ -274,16 +275,23 @@ class TestSandwichReport:
         assert r.big_sigma_lb is None
         assert r.sandwich_ok
 
-    def test_csv_row_layout(self):
-        r = sandwich_report(FAIR, 0.25)
-        row = r.to_csv_row()
+    def test_csv_row_layout(self, capsys):
+        code = main([
+            "sweep", "--sigma-start", "0.25", "--sigma-end", "1", "--steps", "2",
+            "--dist", '{"bernoulli":0.5}', "--format", "csv",
+        ])
+        assert code == 0
+        header, row, row_big = (
+            line.split(",") for line in capsys.readouterr().out.splitlines()
+        )
+        assert tuple(header) == CSV_COLUMNS
+        assert header[0] == "sigma" and header[-1] == "ok"
         assert len(row) == len(CSV_COLUMNS) == 10
         assert row[0] == "0.25"
         assert row[-1] == "true"
         assert row[8] == ""  # big-sigma bound absent below 1/2
 
-        r_big = sandwich_report(FAIR, 1.0)
-        row_big = r_big.to_csv_row()
+        assert row_big[0] == "1"
         assert row_big[5] == row_big[6] == row_big[7] == ""  # lemma4/thm1/bern absent
         assert row_big[8] != ""
 

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from mixent.bounds import sandwich_report
-from mixent.cli import main
+from mixent.bounds import CSV_COLUMNS, sandwich_report
+from mixent.cli import _cell, main
 from mixent.distributions import DiscreteLattice, GaussianDensity
 from mixent.entropy import deficit_via_identity
 
@@ -16,6 +16,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [(None, ""), (True, "true"), (False, "false"), ("quadrature", "quadrature"),
+     (0.25, "0.25"), (0.0, "0"), (1.0 / 3.0, "0.333333333333333"), (4, "4")],
+)
+def test_cell_renders_every_value_kind(value, cell):
+    assert _cell(value) == cell
 
 
 class TestEntropyCommand:
@@ -153,8 +162,8 @@ class TestSweepCommand:
         )
         assert code == 0
         row = out.strip().split("\n")[1]
-        expected = sandwich_report(DiscreteLattice.bernoulli(0.5), 0.25)
-        assert row == ",".join(expected.to_csv_row())
+        doc = sandwich_report(DiscreteLattice.bernoulli(0.5), 0.25).to_json_dict()
+        assert row == ",".join(_cell(doc[c]) for c in CSV_COLUMNS)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -9,6 +9,7 @@ from mixent.distributions import (
     GaussianDensity,
     MixtureDensity,
 )
+from mixent.cli import main
 from mixent.entropy import mixture_entropy
 from mixent.landauer import (
     CSV_COLUMNS,
@@ -128,11 +129,17 @@ class TestResetReport:
         assert bb.ideal == pytest.approx(1.0, rel=1e-12)
         assert bb.mu == rr.mu and bb.sigma == rr.sigma and bb.p1 == rr.p1
 
-    def test_csv_row_layout(self):
-        rr = reset_report(BitMemoryModel(mu=0.5, sigma=0.1, p1=0.5))
-        row = rr.to_csv_row()
+    def test_csv_row_layout(self, capsys):
+        def csv_cells(sigma):
+            argv = ["landauer", "--mu", "0.5", "--sigma", sigma, "--p1", "0.5"]
+            assert main(argv + ["--format", "csv"]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            assert tuple(header.split(",")) == CSV_COLUMNS
+            return row.split(",")
+
+        row = csv_cells("0.1")
         assert len(row) == len(CSV_COLUMNS) == 9
         assert row[0] == "0.5" and row[2] == "0.5"
+        assert row[-1] != ""
 
-        rr_big = reset_report(BitMemoryModel(mu=0.5, sigma=1.0, p1=0.5))
-        assert rr_big.to_csv_row()[-1] == ""  # envelope absent at sigma_eff >= 1/2
+        assert csv_cells("1")[-1] == ""  # envelope absent at sigma_eff >= 1/2
