@@ -46,7 +46,6 @@ from .numerics import (
     gaussian_tail_lower,
     integrate,
     lattice_sum,
-    lattice_sum_excluding_zero,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +77,6 @@ __all__ = [
     "gaussian_tail_lower",
     "integrate",
     "lattice_sum",
-    "lattice_sum_excluding_zero",
     "lemma1_upper_bound",
     "lemma3_near_zero_term",
     "lemma4_far_term",

@@ -9,9 +9,11 @@ downstream tools can re-verify every inequality at double precision.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
-import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -35,10 +37,7 @@ from .entropy import (
     mc_entropy,
     mixture_entropy,
 )
-from .numerics import QuadratureConfig
-
-ENV_ABS_TOL = "MIXENT_QUAD_ABS_TOL"
-ENV_REL_TOL = "MIXENT_QUAD_REL_TOL"
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,24 +56,8 @@ class CliError(Exception):
     """Invalid arguments or inputs; maps to exit code 2."""
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise CliError(f"environment variable {name}={raw!r} is not a number") from exc
-
-
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    abs_tol = args.quad_abs_tol
-    if abs_tol is None:
-        abs_tol = _env_float(ENV_ABS_TOL, 1e-12)
-    rel_tol = args.quad_rel_tol
-    if rel_tol is None:
-        rel_tol = _env_float(ENV_REL_TOL, 1e-10)
-    return QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
+    return QuadratureConfig(abs_tol=args.quad_abs_tol, rel_tol=args.quad_rel_tol)
 
 
 def _parse_dist(spec: str) -> DiscreteLattice:
@@ -103,7 +86,9 @@ def _table(fmt: str, header: tuple[str, ...], rows: list[list]) -> str:
     """``rows`` under ``header`` as CSV, or as a left-aligned text table."""
     lines = [list(header)] + [[_cell(x) for x in row] for row in rows]
     if fmt == "csv":
-        return "".join(",".join(line) + "\n" for line in lines)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(lines)
+        return buf.getvalue()
     widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
     return "".join(
         "  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n" for line in lines
@@ -116,13 +101,6 @@ def _labelled(label: str, width: int, value, err=None, tail: str = "") -> str:
     if err is not None:
         line += f"  (+- {err:.3e}{tail})"
     return line
-
-
-def _emit(args: argparse.Namespace, payload: str) -> None:
-    if args.output in (None, "stdout", "-"):
-        sys.stdout.write(payload)
-    else:
-        Path(args.output).write_text(payload, encoding="utf-8")
 
 
 def _render(
@@ -140,7 +118,10 @@ def _render(
         payload = _table(args.format, header, rows)
     else:
         payload = "\n".join(text) + "\n"
-    _emit(args, payload)
+    if args.output in ("stdout", "-"):
+        sys.stdout.write(payload)
+    else:
+        Path(args.output).write_text(payload, encoding="utf-8")
 
 
 def _exit_code(converged: bool, what: str = "quadrature") -> int:
@@ -233,9 +214,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.mc_samples < 1:
+        raise CliError(f"mc-samples must be >= 1 (got {args.mc_samples})")
     cfg = _quad_config(args)
-    mc_samples = args.mc_samples if args.mc_samples > 0 else 10**6
-    results = run_all_checks(cfg, quick=args.quick, mc_samples=mc_samples)
+    results = run_all_checks(cfg, quick=args.quick, mc_samples=args.mc_samples)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -243,7 +225,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         lines.append(f"{status}  {r.name.ljust(width)}  {r.detail}")
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _emit(args, "\n".join(lines) + "\n")
+    docs = [asdict(r) for r in results]
+    header = ("name", "passed", "detail")
+    _render(args, docs, header, [[doc[c] for c in header] for doc in docs], lines)
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
@@ -294,25 +278,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="output file path, or 'stdout' (default)",
     )
     common.add_argument(
-        "--quad-abs-tol", type=float, default=None, metavar="TOL",
-        help=f"quadrature absolute tolerance (default 1e-12; env {ENV_ABS_TOL})",
+        "--quad-abs-tol", type=float, default=DEFAULT_QUADRATURE.abs_tol,
+        metavar="TOL", help="quadrature absolute tolerance (default %(default)s)",
     )
     common.add_argument(
-        "--quad-rel-tol", type=float, default=None, metavar="TOL",
-        help=f"quadrature relative tolerance (default 1e-10; env {ENV_REL_TOL})",
+        "--quad-rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol,
+        metavar="TOL", help="quadrature relative tolerance (default %(default)s)",
     )
-    common.add_argument(
+    # entropy and sweep only; validate has its own --mc-samples and seeds
+    # its checks itself
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument(
         "--mc-samples", type=int, default=0, metavar="N",
         help="Monte Carlo sample count (0 = skip MC; default 0)",
     )
-    common.add_argument(
+    mc.add_argument(
         "--seed", type=int, default=0, metavar="SEED",
         help="Monte Carlo seed (default 0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_entropy = sub.add_parser(
-        "entropy", parents=[common],
+        "entropy", parents=[common, mc],
         help="H(Z), h(X), h(X+Z) and the deficit by both routes",
     )
     p_entropy.add_argument("--sigma", type=float, required=True,
@@ -325,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy.set_defaults(func=cmd_entropy)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common],
+        "sweep", parents=[common, mc],
         help="bound/deficit sandwich report per sigma over a grid",
     )
     p_sweep.add_argument("--sigma-start", type=float, required=True)
@@ -346,6 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument(
         "--quick", action="store_true",
         help="reduced grids and Monte Carlo size",
+    )
+    p_validate.add_argument(
+        "--mc-samples", type=int, default=10**6, metavar="N",
+        help="Monte Carlo sample count of the MC agreement check "
+             "(capped at 10^5 by --quick; default 10^6)",
     )
     p_validate.set_defaults(func=cmd_validate)
 

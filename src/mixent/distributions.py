@@ -227,9 +227,6 @@ class MixtureDensity:
         with np.errstate(invalid="ignore"):
             return logsumexp(terms, axis=0)
 
-    def density(self, x):
-        return np.exp(self.log_density(x))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         atoms = rng.choice(
             np.asarray(self.lattice.support, dtype=float),

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from .bounds import theorem1_upper_bound
 from .distributions import DiscreteLattice, DistributionError, GaussianDensity
 from .entropy import deficit_direct
 from .numerics import _LN2, DEFAULT_QUADRATURE, QuadratureConfig
@@ -147,8 +148,6 @@ def reset_report(
     h_before = ideal + h_after - delta.nats
     envelope = None
     if model.sigma_eff < 0.5:
-        from .bounds import theorem1_upper_bound
-
         envelope = theorem1_upper_bound(model.sigma_eff)
     return ResetReport(
         mu=model.mu,

@@ -123,32 +123,6 @@ def lattice_sum(g: GaussianDensity, epsilon: float) -> float:
     return total / (_SQRT_2PI * sigma)
 
 
-def lattice_sum_excluding_zero(g: GaussianDensity, y: float) -> float:
-    """``sum_{m != 0} f(y + m)``, summed directly over ``m != 0``.
-
-    Equals ``lattice_sum(g, y) - f(y)`` but avoids the cancellation that
-    formula suffers when ``f(y)`` dominates the whole sum.  ``y`` is not
-    reduced modulo 1 (excluding ``m = 0`` breaks shift invariance), so the
-    nearest-integer term may sit at large ``|m|``; summation therefore runs
-    at least past ``|round(y)|`` before the truncation test applies.
-    """
-    sigma = g.sigma
-    inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    yf = float(y)
-    min_m = max(_MIN_SERIES_TERMS, abs(int(round(yf))) + _MIN_SERIES_TERMS)
-    total = 0.0
-    m = 1
-    while True:
-        up = yf + m
-        dn = yf - m
-        t = math.exp(-(up * up) * inv2s2) + math.exp(-(dn * dn) * inv2s2)
-        total += t
-        if m >= min_m and t <= SERIES_TRUNCATION * total:
-            break
-        m += 1
-    return total / (_SQRT_2PI * sigma)
-
-
 def gaussian_tail_lower(z: float) -> float:
     """Closed-form lower bound ``phi(z) (1/z - 1/z^3)`` on the standard
     normal upper tail; positive and valid only for ``z > 1``."""

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -249,6 +250,34 @@ class TestValidateCommand:
         assert "FAIL" in out
         assert "NonConvergence" in out
 
+    def test_json_report(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "validate", "--quick", "--mc-samples", "2000", "--format", "json",
+        )
+        assert code == 0
+        docs = json.loads(out)
+        assert len(docs) == 10
+        assert all(set(doc) == {"name", "passed", "detail"} for doc in docs)
+        assert all(doc["passed"] is True for doc in docs)
+
+    def test_csv_failure_details_stay_in_one_cell(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "validate", "--quick", "--mc-samples", "2000", "--format", "csv",
+            "--quad-abs-tol", "1e-30", "--quad-rel-tol", "1e-30",
+        )
+        assert code == 1
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["name", "passed", "detail"]
+        assert len(rows) == 11
+        assert all(len(row) == 3 for row in rows)
+        assert any(row[1] == "false" and "NonConvergence" in row[2] for row in rows)
+
+    def test_zero_mc_samples_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--mc-samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "mc-samples" in err
+
 
 class TestLandauerCommand:
     def test_small_noise_report(self, capsys):
@@ -298,32 +327,18 @@ class TestLandauerCommand:
         assert len(lines) == 2
 
 
-class TestEnvironmentTolerances:
-    def test_env_var_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("MIXENT_QUAD_REL_TOL", "1e-30")
-        monkeypatch.setenv("MIXENT_QUAD_ABS_TOL", "1e-30")
-        code, out, _ = run_cli(
-            capsys, "entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
-            "--format", "json",
-        )
-        assert code == 3
-        assert json.loads(out)["converged"] is False
 
-    def test_flags_take_precedence_over_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MIXENT_QUAD_REL_TOL", "1e-30")
-        monkeypatch.setenv("MIXENT_QUAD_ABS_TOL", "1e-30")
-        code, out, _ = run_cli(
-            capsys, "entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
-            "--format", "json", "--quad-rel-tol", "1e-10",
-            "--quad-abs-tol", "1e-12",
-        )
-        assert code == 0
-        assert json.loads(out)["converged"] is True
-
-    def test_garbage_env_value_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("MIXENT_QUAD_REL_TOL", "not-a-number")
-        code, _, err = run_cli(
-            capsys, "entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
-        )
-        assert code == 2
-        assert "MIXENT_QUAD_REL_TOL" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5", "--seed", "9"],
+        ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5", "--mc-samples", "10"],
+        ["validate", "--seed", "1"],
+    ],
+    ids=["landauer_seed", "landauer_mc_samples", "validate_seed"],
+)
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

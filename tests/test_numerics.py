@@ -14,7 +14,6 @@ from mixent.numerics import (
     gaussian_tail_lower,
     integrate,
     lattice_sum,
-    lattice_sum_excluding_zero,
 )
 
 STD_NORMAL = GaussianDensity(1.0)
@@ -145,41 +144,6 @@ class TestLatticeSum:
 )
 def test_lattice_sum_bound_property(sigma, eps):
     assert lattice_sum(GaussianDensity(sigma), eps) < 1.0 / sigma
-
-
-class TestLatticeSumExcludingZero:
-    def test_matches_difference_when_no_cancellation(self):
-        g = GaussianDensity(0.5)
-        got = lattice_sum_excluding_zero(g, 0.3)
-        ref = lattice_sum(g, 0.3) - math.exp(g.log_pdf(0.3))
-        assert got == pytest.approx(ref, rel=1e-12)
-
-    def test_frozen_values(self):
-        assert lattice_sum_excluding_zero(
-            GaussianDensity(0.5), 0.0
-        ) == pytest.approx(0.21649921125936336, rel=1e-13)
-        assert lattice_sum_excluding_zero(
-            GaussianDensity(0.25), 0.5
-        ) == pytest.approx(0.21596391465981502, rel=1e-13)
-
-    def test_far_argument_finds_distant_peak(self):
-        # the dominant term sits at m = -4; early-terms-underflow must not
-        # truncate the series before reaching it
-        got = lattice_sum_excluding_zero(GaussianDensity(0.05), 3.7)
-        assert got == pytest.approx(1.2151765699646572e-07, rel=1e-12)
-
-    @pytest.mark.parametrize("y", [-7.3, -0.5, 0.0, 0.2, 4.9])
-    @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.5])
-    def test_non_negative(self, sigma, y):
-        assert lattice_sum_excluding_zero(GaussianDensity(sigma), y) >= 0.0
-
-    def test_matches_brute_force(self):
-        g = GaussianDensity(0.4)
-        for y in (-2.6, 0.45, 1.0, 3.2):
-            ref = math.fsum(
-                math.exp(g.log_pdf(y + m)) for m in range(-60, 61) if m != 0
-            )
-            assert lattice_sum_excluding_zero(g, y) == pytest.approx(ref, rel=1e-12)
 
 
 class TestGaussianTailLower:
