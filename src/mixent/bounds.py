@@ -28,8 +28,7 @@ from .distributions import DiscreteLattice, GaussianDensity, tail_mass
 from .entropy import (
     WINDOW_SIGMAS,
     EntropyValue,
-    _Cluster,
-    _deficit_integrand,
+    _deficit_quadrature,
     deficit_direct,
     discrete_entropy,
 )
@@ -39,8 +38,6 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureConfig,
-    QuadratureResult,
-    integrate,
 )
 
 
@@ -55,10 +52,10 @@ class BoundValue(float):
     """A float that also carries its quadrature's ``converged`` flag and
     ``abs_error`` estimate."""
 
-    def __new__(cls, qr: QuadratureResult) -> "BoundValue":
-        value = super().__new__(cls, qr.value)
-        value.converged = qr.converged
-        value.abs_error = qr.abs_error_estimate
+    def __new__(cls, v: EntropyValue) -> "BoundValue":
+        value = super().__new__(cls, v.nats)
+        value.converged = v.converged
+        value.abs_error = v.abs_error
         return value
 
 
@@ -67,23 +64,17 @@ def lemma1_upper_bound(
 ) -> BoundValue:
     """Numeric value of the Z-independent deficit bound
 
-        L = int f(y) ln(1 + sum_{m != 0} f(y+m) / f(y)) dy.
+        L = int f(y) ln(1 + sum_{m != 0} f(y+m) / f(y)) dy,
 
-    With ``y = u + n``, ``|u| <= 1/2``, it folds onto one period:
-
-        L = int_{-1/2}^{1/2} sum_n f(u+n) ln(1 + sum_{j != n} f(u+j) / f(u+n)) du,
-
-    which is the direct-route deficit integrand on unit-weight atoms
-    ``n = -M..M``, ``M = ceil(1/2 + 40 sigma)`` (farther atoms are below
-    ``exp(-800)`` of their peak on the period), integrated once.  The
-    result also carries ``converged`` and ``abs_error``.
+    folded onto one period (``y = u + n``, ``|u| <= 1/2``): the direct-route
+    deficit quadrature on the one cell ``n = 0`` with unit-weight atoms
+    ``-M..M``, ``M = ceil(1/2 + 40 sigma)``, carrying ``converged`` and
+    ``abs_error``.
     """
     m = math.ceil(0.5 + WINDOW_SIGMAS * g.sigma)
-    atoms = np.arange(-m, m + 1, dtype=float)
-    c = _Cluster(-0.5, 0.5, atoms, np.zeros(atoms.size), [0.0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qr = integrate(_deficit_integrand(c, g), c.lo, c.hi, cfg, points=c.points)
-    return BoundValue(qr)
+    atoms = np.arange(-m, m + 1)
+    cell = np.zeros(1, int)
+    return BoundValue(_deficit_quadrature(atoms, np.zeros(atoms.size), g, cfg, cell))
 
 
 def lemma3_near_zero_term(g: GaussianDensity) -> float:

@@ -60,6 +60,15 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.quad_abs_tol, rel_tol=args.quad_rel_tol)
 
 
+def _mc_settings(args: argparse.Namespace) -> tuple[int, int]:
+    """``(--mc-samples, --seed)``; a seed without samples would go unread."""
+    if args.mc_samples < 0:
+        raise CliError(f"mc-samples must be >= 0 (got {args.mc_samples})")
+    if args.seed is not None and args.mc_samples == 0:
+        raise CliError("--seed needs --mc-samples > 0")
+    return args.mc_samples, args.seed or 0
+
+
 def _parse_dist(spec: str) -> DiscreteLattice:
     text = spec.strip()
     if not text.startswith("{"):
@@ -135,6 +144,7 @@ def _exit_code(converged: bool, what: str = "quadrature") -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
+    samples, seed = _mc_settings(args)
     z = _parse_dist(args.dist)
     g = GaussianDensity(args.sigma)
     cfg = _quad_config(args)
@@ -148,10 +158,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         ("delta_direct", deficit_direct(z, g, cfg)),
         ("delta_identity", deficit_via_identity(z, g, cfg, hm)),
     ]
-    if args.mc_samples > 0:
-        quantities.append(
-            ("h_mc", mc_entropy(m, McConfig(samples=args.mc_samples, seed=args.seed)))
-        )
+    if samples > 0:
+        quantities.append(("h_mc", mc_entropy(m, McConfig(samples=samples, seed=seed))))
     converged = all(v.converged for _, v in quantities)
 
     doc = {"sigma": args.sigma, "z": z.to_json(), "converged": converged}
@@ -186,9 +194,10 @@ def _sigma_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    samples, seed = _mc_settings(args)
     z = _parse_dist(args.dist)
     cfg = _quad_config(args)
-    with_mc = args.mc_samples > 0
+    with_mc = samples > 0
 
     docs = []
     for i, sigma in enumerate(_sigma_grid(args)):
@@ -197,7 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             g = GaussianDensity(float(sigma))
             hmc = mc_entropy(
                 MixtureDensity(g, z),
-                McConfig(samples=args.mc_samples, seed=args.seed + i),
+                McConfig(samples=samples, seed=seed + i),
             )
             doc["mc_delta"] = (
                 discrete_entropy(z).nats + gaussian_entropy(g).nats - hmc.nats
@@ -293,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo sample count (0 = skip MC; default 0)",
     )
     mc.add_argument(
-        "--seed", type=int, default=0, metavar="SEED",
-        help="Monte Carlo seed (default 0)",
+        "--seed", type=int, metavar="SEED",
+        help="Monte Carlo seed, with --mc-samples only (default 0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -362,9 +371,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DistributionError, ValueError) as exc:
-        # ValueError covers parameter validation in configs (seed, samples,
-        # tolerances); all map to a usage error
+    except (CliError, DistributionError, ValueError, OSError) as exc:
+        # ValueError covers config validation (seed, samples, tolerances),
+        # OSError an unreadable --dist or unwritable --output: usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

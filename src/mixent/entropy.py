@@ -6,17 +6,22 @@ entropy deficit ``delta = H(Z) + h(X) - h(X+Z)`` computed by two routes.
     sum_k p_k int f(x-k) ln(1 + sum_{j!=k} p_j f(x-j) / (p_k f(x-k))) dx
 
 and ``deficit_via_identity`` subtracts the quadrature mixture entropy from
-``H(Z) + h(X)``.  Both integrate per cluster of overlapping atom windows, one
-fused integrand per cluster evaluating all of its atoms in one numpy call.
-The two routes check each other, and a seeded Monte Carlo estimator is a third.
+``H(Z) + h(X)``.  All atoms are integers, so with ``x = u + n`` both are one
+quadrature over ``u`` in ``[-1/2, 1/2]`` of a sum over the integer cells
+``n`` near an atom, every cell evaluated in one numpy call.  A Gaussian
+deficit integrand peaks at size ``exp(-d^2 / (8 sigma^2))``, ``d`` the
+smallest gap between atoms, and is integrated scaled by the inverse of that
+factor, so the absolute tolerance acts as a relative one.  Lemma 1 is the
+same deficit quadrature on one cell.  The two routes check each other, and a
+seeded Monte Carlo estimator is a third.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -89,105 +94,96 @@ def base_entropy(base: BaseDensity) -> EntropyValue:
     return EntropyValue(base.entropy_nats(), EntropyMethod.CLOSED_FORM, 0.0)
 
 
-class _Cluster(NamedTuple):
-    """Atoms whose windows (``k +- 40 sigma``, or a uniform base's support)
-    overlap.  Every point of ``[lo, hi]`` is at least one window from any
-    atom outside the cluster, where a Gaussian component is below
-    ``exp(-800)`` of its peak, so clusters are integrated apart."""
-
-    lo: float
-    hi: float
-    support: np.ndarray
-    log_probs: np.ndarray
-    # Gaussian peaks (the atoms) or uniform edges: mandatory break points
-    points: list[float]
-
-    def log_terms(self, base: BaseDensity, x: float) -> np.ndarray:
-        """``ln p_k + ln f(x - k)`` for every atom of the cluster."""
-        return self.log_probs + base.log_pdf(x - self.support)
-
-
-def _clusters(z: DiscreteLattice, base: BaseDensity) -> list[_Cluster]:
-    """Merge the atoms' windows into clusters, in support order."""
+def _integrate_folded(body, support, log_probs, base, cfg, cells=None):
+    """``int_{-1/2}^{1/2} body(t(u)) du`` with ``t(u)`` the C x w matrix of
+    ``ln p_k + ln f(u + n - k)``: one row per cell ``n`` (default: every
+    integer within ``r = ceil(1/2 + 40 sigma)`` of an atom, ``ceil(w + 1/2)``
+    for a uniform base), over the atoms within ``r`` of it, padded with
+    log-weight -inf.  Farther components are below ``exp(-800)`` of their
+    peak or zero; ``n - k`` is exact, so far atoms lose no digits."""
     uniform = isinstance(base, UniformDensity)
-    pad = base.half_width if uniform else WINDOW_SIGMAS * base.sigma
-    ks = np.asarray(z.support, dtype=float)
-    # windows that at most touch share no mass: start a new cluster there
-    cuts = np.flatnonzero(np.diff(ks) >= 2.0 * pad) + 1
-    clusters = []
-    for idx in np.split(np.arange(ks.size), cuts):
-        # integrals are shift invariant: centre each cluster on its first
-        # atom so far-out atoms lose no digits to large abscissae
-        k = ks[idx] - ks[idx[0]]
-        points = np.union1d(k - pad, k + pad) if uniform else k
-        lps = np.asarray(z.log_probs)[idx]
-        clusters.append(_Cluster(k[0] - pad, k[-1] + pad, k, lps, points.tolist()))
-    return clusters
+    w = base.half_width if uniform else WINDOW_SIGMAS * base.sigma
+    r = math.ceil(w + 0.5)
+    ks = np.asarray(support, dtype=np.int64)
+    if cells is None:
+        cells = np.unique(ks[:, None] + np.arange(-r, r + 1))
+    lo = np.searchsorted(ks, cells - r)
+    hi = np.searchsorted(ks, cells + r, side="right")
+    idx = lo[:, None] + np.arange((hi - lo).max())
+    pad = idx >= hi[:, None]
+    idx[pad] = 0
+    offsets = (cells[:, None] - ks[idx]).astype(float)
+    lps = np.where(pad, -np.inf, np.asarray(log_probs, dtype=float)[idx])
+    # every Gaussian peak sits at u = 0; a uniform base jumps at +-w mod 1
+    points = [0.0] + ([(w + 0.5) % 1.0 - 0.5, (0.5 - w) % 1.0 - 0.5] if uniform else [])
+    # log(0) of an empty "others" sum is meant (ln(1 + 0) = 0); the inf/nan
+    # terms of padding and of a uniform base's zero components are masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qr = integrate(
+            lambda u: body(lps + base.log_pdf(u + offsets)),
+            -0.5, 0.5, cfg, points=points,
+        )
+    return EntropyValue(
+        qr.value, EntropyMethod.QUADRATURE, qr.abs_error_estimate, qr.converged
+    )
 
 
-def _integrate_clusters(clusters, base, integrand_for, cfg) -> EntropyValue:
-    """One quadrature per cluster, summed; errors add, and all must converge."""
-    total = err = 0.0
-    converged = True
-    for c in clusters:
-        qr = integrate(integrand_for(c, base), c.lo, c.hi, cfg, points=c.points)
-        total += qr.value
-        err += qr.abs_error_estimate
-        converged = converged and qr.converged
-    return EntropyValue(total, EntropyMethod.QUADRATURE, err, converged)
+def _entropy_body(t: np.ndarray) -> float:
+    """``-M ln M`` summed over the cells, ``M`` being a cell's mixture density."""
+    top = t.max(axis=1, keepdims=True)
+    top[top == -np.inf] = 0.0
+    ld = top[:, 0] + np.log(np.exp(t - top).sum(axis=1))
+    return float(-(np.exp(ld) * ld)[ld > -np.inf].sum())
 
 
-def _entropy_integrand(c: _Cluster, base: BaseDensity):
-    """Integrand ``-M ln M`` of the cluster's mixture density ``M``."""
+def _deficit_body(t: np.ndarray) -> float:
+    """``sum_k p_k f(x-k) ln(1 + r_k(x))`` summed over the cells, ``r_k``
+    being the other atoms' mass over atom ``k``'s.
 
-    def integrand(x: float) -> float:
-        t = c.log_terms(base, x)
-        top = t.max()
-        if top == -math.inf:
-            return 0.0
-        ld = top + math.log(np.exp(t - top).sum())
-        return -math.exp(ld) * ld
-
-    return integrand
+    ``ln(1 + r_k)`` is ``logaddexp(0, ln r_k)``, never ``ln M(x) - t_k``, so
+    it keeps its relative accuracy where ``r_k`` is doubly-exponentially
+    small; a vanishing component contributes zero.  Only the dominant atom's
+    "others" sum is summed on its own; every other is the total minus its
+    own term, losing at most one bit (the sum is >= 1, the term <= 1).  A
+    cell's total is ``exp(top + ln sum)``, which cannot overflow where
+    ``exp(top)`` would.
+    """
+    rows = np.arange(t.shape[0])
+    i = t.argmax(axis=1)
+    top = t[rows, i]
+    live = top > -np.inf
+    top[~live] = 0.0
+    e = np.exp(t - top[:, None])
+    e[rows, i] = 0.0
+    rest = e.sum(axis=1)
+    others = (rest[:, None] + 1.0) - e
+    others[rows, i] = rest
+    e[rows, i] = live
+    ln1p_ratio = np.logaddexp(0.0, np.log(others) + (top[:, None] - t))
+    total = (e * np.where(e > 0.0, ln1p_ratio, 0.0)).sum(axis=1)
+    return float(np.exp(top + np.log(total)).sum())
 
 
 def mixture_entropy(
     m: MixtureDensity, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> EntropyValue:
-    """``-int f_{X+Z} ln f_{X+Z}`` by adaptive quadrature, one integral per
-    cluster of overlapping atom windows."""
-    return _integrate_clusters(
-        _clusters(m.lattice, m.base), m.base, _entropy_integrand, cfg
-    )
+    """``-int f_{X+Z} ln f_{X+Z}`` by one quadrature over the folded period."""
+    z = m.lattice
+    return _integrate_folded(_entropy_body, z.support, z.log_probs, m.base, cfg)
 
 
-def _deficit_integrand(c: _Cluster, base: BaseDensity):
-    """Integrand ``sum_k p_k f(x-k) ln(1 + r_k(x))`` over the cluster's
-    atoms, ``r_k`` being the other atoms' mass over atom ``k``'s.
-
-    ``ln(1 + r_k)`` is ``logaddexp(0, ln r_k)``, never ``ln M(x) - t_k``, so
-    it keeps its relative accuracy where ``r_k`` is doubly-exponentially
-    small.  A vanishing component contributes zero, the continuous limit.
-
-    The "others" sums cost O(K): only the dominant atom's is summed on its
-    own; every other atom's is the total minus its own term, which loses at
-    most one bit because that sum is at least 1 and the term at most 1.
-    """
-
-    def integrand(x: float) -> float:
-        t = c.log_terms(base, x)
-        i = t.argmax()
-        top = t[i]
-        e = np.exp(t - top)
-        e[i] = 0.0
-        rest = e.sum()
-        others = (rest + 1.0) - e
-        others[i] = rest
-        e[i] = 1.0
-        ln1p_ratio = np.logaddexp(0.0, np.log(others) + (top - t))
-        return math.exp(top) * float((e * np.where(e > 0.0, ln1p_ratio, 0.0)).sum())
-
-    return integrand
+def _deficit_quadrature(support, log_probs, base, cfg, cells=None) -> EntropyValue:
+    """The deficit integral over the folded period.  For a Gaussian base the
+    weights are scaled by ``exp(d^2 / (8 sigma^2))``, ``d`` the smallest gap,
+    which brings the integrand (linear in a common weight) to a peak of
+    order 1; the result is scaled back."""
+    s = 0.0
+    if isinstance(base, GaussianDensity) and len(support) > 1:
+        s = float(np.diff(support).min()) ** 2 / (8.0 * base.sigma**2)
+    lps = np.add(log_probs, s)
+    v = _integrate_folded(_deficit_body, support, lps, base, cfg, cells)
+    scale = math.exp(-s)
+    return replace(v, nats=v.nats * scale, abs_error=v.abs_error * scale)
 
 
 def deficit_direct(
@@ -196,8 +192,7 @@ def deficit_direct(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> EntropyValue:
     """Deficit ``H(Z) + h(X) - h(X+Z)`` from its defining integral, one
-    quadrature per cluster of overlapping atom windows; a lone atom overlaps
-    nothing and adds 0.
+    quadrature over the folded period.
 
     For a Gaussian base with ``sigma < SMALL_SIGMA_FLOOR`` the integral
     underflows double precision; the result is then 0 with the closed-form
@@ -209,11 +204,7 @@ def deficit_direct(
         return EntropyValue(
             0.0, EntropyMethod.QUADRATURE, theorem1_upper_bound(base.sigma)
         )
-    clusters = [c for c in _clusters(z, base) if c.support.size > 1]
-    # log(0) of an empty "others" sum is meant (ln(1 + 0) = 0); the inf/nan
-    # terms of a zero component (uniform base) are masked by their weight
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _integrate_clusters(clusters, base, _deficit_integrand, cfg)
+    return _deficit_quadrature(z.support, z.log_probs, base, cfg)
 
 
 def deficit_via_identity(

@@ -11,7 +11,8 @@ settings.load_profile("mixent")
 
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """Records the interval of every quadrature the entropy routes run."""
+    """Records the interval of every quadrature the entropy routes and
+    Lemma 1 run."""
     calls = []
     real = entropy_mod.integrate
 

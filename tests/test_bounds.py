@@ -1,14 +1,17 @@
-import dataclasses
+import functools
 import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mixent.bounds as bounds_mod
 from mixent.bounds import (
     CSV_COLUMNS,
+    BoundValue,
     bernoulli_lower_bound,
     big_sigma_lower_bound,
     lemma1_upper_bound,
@@ -47,11 +50,41 @@ def lemma1_mp(sigma: float, dps: int = 30) -> mpmath.mpf:
         return mpmath.log(2 * mpmath.pi * mpmath.e * s**2) / 2 + integral
 
 
+@functools.lru_cache(maxsize=None)
+def lemma1_log1p_mp(sigma: float) -> mpmath.mpf:
+    """Lemma 1 from its defining integral in ``log1p`` form at 50 digits,
+    ``int f(y) log1p(sum_{m != 0} exp(-m (2y + m) / (2 sigma^2))) dy``, for
+    small sigma where the theta form cancels every digit.  The integrand
+    varies on a scale of sigma^2 around the crossovers ``y = +-1/2``, so
+    the Gauss-Legendre panels break at ``+-1/2 + j sigma^2`` (geometric
+    ``j``); it is scaled by ``exp(1/(8 sigma^2))`` to peak near 1, because
+    mpmath stops on an absolute error."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(sigma)
+        c = 1 / (2 * s * s)
+        norm = mpmath.exp(c / 4) / (mpmath.sqrt(2 * mpmath.pi) * s)
+        ms = [m for m in range(-4, 5) if m]  # farther terms are below exp(-3c)
+        pts = {-1, 0, 1}
+        for half in (-0.5, 0.5):
+            pts.update(half + j * s * s for j in (-64, -16, -4, -1, 0, 1, 4, 16, 64))
+
+        def integrand(y):
+            ratio = mpmath.fsum(mpmath.exp(-c * m * (2 * y + m)) for m in ms)
+            return norm * mpmath.exp(-c * y * y) * mpmath.log1p(ratio)
+
+        integral = mpmath.quad(
+            integrand, [-mpmath.inf, *sorted(pts), mpmath.inf], method="gauss-legendre"
+        )
+        return integral / mpmath.exp(c / 4)
+
+
 # Lemma 1 from the lattice-sum integrand over the whole line, on the sigma
-# grids of geomspace(0.03, 8, 12), geomspace(0.03, 4, 12) and SHARPNESS_GRID
+# grids of geomspace(0.03, 8, 12), geomspace(0.03, 4, 12) and SHARPNESS_GRID;
+# None where that integrand was not resolved (checked against
+# lemma1_log1p_mp instead)
 PINNED_SWEEP_TO_8 = (
-    7.0334645882775545e-62,
-    3.490975957871922e-23,
+    None,
+    None,
     4.808782250122698e-09,
     0.0008199794065320967,
     0.07787834478818462,
@@ -64,9 +97,9 @@ PINNED_SWEEP_TO_8 = (
     3.4983800748845097,
 )
 PINNED_SWEEP_TO_4 = (
-    7.0334645882775545e-62,
-    3.824708539127508e-26,
-    2.3137795356071834e-11,
+    None,
+    None,
+    None,
     3.400003818059456e-05,
     0.013869594840869625,
     0.18552653580471198,
@@ -86,6 +119,10 @@ PINNED_SHARPNESS_GRID = (
     0.5044556002789087,
     0.6207682472600499,
 )
+PINNED_SWEEPS = [
+    *zip(np.geomspace(0.03, 8.0, 12), PINNED_SWEEP_TO_8),
+    *zip(np.geomspace(0.03, 4.0, 12), PINNED_SWEEP_TO_4),
+]
 
 
 class TestClosedForms:
@@ -190,8 +227,7 @@ class TestLemma1:
     @pytest.mark.parametrize(
         "sigma, pinned",
         [
-            *zip(np.geomspace(0.03, 8.0, 12), PINNED_SWEEP_TO_8),
-            *zip(np.geomspace(0.03, 4.0, 12), PINNED_SWEEP_TO_4),
+            *((s, p) for s, p in PINNED_SWEEPS if p is not None),
             *zip(SHARPNESS_GRID, PINNED_SHARPNESS_GRID),
         ],
     )
@@ -201,18 +237,27 @@ class TestLemma1:
         assert abs(value - pinned) <= 1e-12
         assert abs(value - pinned) <= 1e-10 * pinned
 
+    @pytest.mark.parametrize(
+        "sigma", [float(s) for s, p in PINNED_SWEEPS if p is None]
+    )
+    def test_small_sigma_matches_log1p_oracle(self, sigma):
+        value = lemma1_upper_bound(GaussianDensity(sigma))
+        truth = float(lemma1_log1p_mp(sigma))
+        assert value.converged
+        assert abs(value - truth) <= 1e-10 * truth
+        assert value.abs_error <= 1e-10 * truth
+
+    def test_small_sigma_truth(self):
+        # 50-digit value, rounded to 11 digits: twice the fair Bernoulli
+        # deficit at this sigma, as the m = +-1 terms dominate
+        truth = 7.1633292697e-62
+        assert abs(float(lemma1_log1p_mp(0.03)) - truth) <= 1e-10 * truth
+        assert abs(lemma1_upper_bound(GaussianDensity(0.03)) - truth) <= 1e-10 * truth
+
     @pytest.mark.parametrize("sigma", [0.03, 0.25, 8.0])
-    def test_one_quadrature_over_one_period(self, monkeypatch, sigma):
-        calls = []
-        real = bounds_mod.integrate
-
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(bounds_mod, "integrate", counting)
+    def test_one_quadrature_over_one_period(self, integrate_calls, sigma):
         lemma1_upper_bound(GaussianDensity(sigma))
-        assert calls == [(-0.5, 0.5)]
+        assert integrate_calls == [(-0.5, 0.5)]
 
     def test_carries_quadrature_error(self):
         value = lemma1_upper_bound(GaussianDensity(0.25))
@@ -303,12 +348,13 @@ class TestSandwichReport:
         assert doc["bigsig_lb"] is None
 
     def test_unconverged_lemma1_is_not_ok(self, monkeypatch):
-        real = bounds_mod.integrate
+        real = bounds_mod.lemma1_upper_bound
 
-        def unconverged(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), converged=False)
+        def unconverged(g, cfg):
+            value = EntropyValue(real(g, cfg), EntropyMethod.QUADRATURE, 0.0, False)
+            return BoundValue(value)
 
-        monkeypatch.setattr(bounds_mod, "integrate", unconverged)
+        monkeypatch.setattr(bounds_mod, "lemma1_upper_bound", unconverged)
         r = sandwich_report(FAIR, 0.25)
         assert not r.converged
         assert not r.sandwich_ok
@@ -328,3 +374,18 @@ class TestSandwichReport:
         assert r.converged
         assert r.lemma1_numeric_ub > 1.0
         assert not r.sandwich_ok
+
+
+@given(
+    z=st.sampled_from([FAIR, DiscreteLattice((0, 1, 2), (0.2, 0.5, 0.3))]),
+    sigma=st.floats(0.02, 0.1),
+)
+def test_small_sigma_sandwich_is_resolved(z, sigma):
+    # an ok row rests on a deficit resolved to a relative 1e-8, never on
+    # delta - err < 0
+    r = sandwich_report(z, sigma)
+    assert r.sandwich_ok and r.converged
+    assert 0.0 < r.delta_error < 1e-8 * r.delta_quadrature
+    if r.bernoulli_lb is not None:
+        assert r.bernoulli_lb <= r.delta_quadrature
+    assert r.delta_quadrature <= r.lemma1_numeric_ub <= r.theorem1_ub

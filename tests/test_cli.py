@@ -59,7 +59,7 @@ class TestEntropyCommand:
             "--format", "json",
         )
         assert code == 0
-        # one cluster: one quadrature for the direct route, one for h(X+Z)
+        # one quadrature for the direct route, one for h(X+Z)
         assert len(integrate_calls) == 2
         expected = deficit_via_identity(
             DiscreteLattice.bernoulli(0.5), GaussianDensity(0.25)
@@ -342,3 +342,31 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["entropy", "sweep"])
+@pytest.mark.parametrize(
+    "mc_flags, message",
+    [(["--seed", "9"], "--seed needs --mc-samples"), (["--mc-samples", "-5"], "mc-samples")],
+    ids=["seed_without_samples", "negative_samples"],
+)
+def test_unread_or_negative_mc_flags_exit_2(capsys, command, mc_flags, message):
+    argv = {
+        "entropy": ["entropy", "--sigma", "0.25"],
+        "sweep": ["sweep", "--sigma-start", "0.25", "--sigma-end", "1", "--steps", "2"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--dist", FAIR_JSON, *mc_flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_output_into_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(
+        capsys, "entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
+        "--output", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err

@@ -1,7 +1,9 @@
 """Regression tests of the two quadrature routes against sources of truth
-that share no code with them: an mpmath reference integral, the cluster
+that share no code with them: mpmath reference integrals, the cluster
 decomposition of well-separated supports, closed forms for a uniform base,
 and values frozen from the per-atom implementation the routes replaced."""
+
+import functools
 
 import math
 
@@ -47,6 +49,53 @@ def fair_bernoulli_deficit_mp(sigma: float, dps: int = 30) -> mpmath.mpf:
         return mpmath.quad(integrand, [-mpmath.inf, 0, 0.5, 1, mpmath.inf])
 
 
+# Breaks around each crossover, where the integrand varies on a scale of
+# sigma^2: geometric, so every panel's length matches its distance from the
+# nearest complex singularity of log1p.
+CROSSOVER_STEPS = (-64, -16, -4, -1, 0, 1, 4, 16, 64)
+
+
+@functools.lru_cache(maxsize=None)
+def deficit_mp(z: DiscreteLattice, sigma: float) -> mpmath.mpf:
+    """Deficit of any law by 50-digit Gauss-Legendre quadrature of
+
+        sum_k p_k int f(x-k) log1p(sum_{j!=k} p_j f(x-j) / (p_k f(x-k))) dx,
+
+    the ratio being ``(p_j/p_k) exp((j-k)(2x-j-k) / (2 sigma^2))``.  Atom
+    ``k``'s integral breaks at ``k +- 1``, at the atoms next to it and at
+    ``crossover + j sigma^2``.  mpmath stops on an absolute error, so the
+    integrand is scaled by ``exp(d^2 / (8 sigma^2))``, ``d`` the smallest
+    gap, the size of its peak."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(sigma)
+        c = 1 / (2 * s * s)
+        d = min(b - a for a, b in zip(z.support, z.support[1:]))
+        norm = mpmath.exp(c * d * d / 4) / (mpmath.sqrt(2 * mpmath.pi) * s)
+        ps = [mpmath.mpf(p) for p in z.probs]
+        total = 0
+        for i, (k, pk) in enumerate(zip(z.support, ps)):
+            near = z.support[max(i - 1, 0):i + 2]
+            pts = {k - 1, k, k + 1, *near}
+            for a, b in zip(near, near[1:]):
+                mid = mpmath.mpf(a + b) / 2
+                pts.update(mid + j * s * s for j in CROSSOVER_STEPS)
+
+            def integrand(x, k=k, pk=pk):
+                ratio = mpmath.fsum(
+                    pj / pk * mpmath.exp(c * (j - k) * (2 * x - j - k))
+                    for j, pj in zip(z.support, ps)
+                    if j != k
+                )
+                return pk * norm * mpmath.exp(-c * (x - k) ** 2) * mpmath.log1p(ratio)
+
+            total += mpmath.quad(
+                integrand,
+                [-mpmath.inf, *sorted(pts), mpmath.inf],
+                method="gauss-legendre",
+            )
+        return total / mpmath.exp(c * d * d / 4)
+
+
 def test_mpmath_reference_reproduces_published_digits():
     with mpmath.workdps(30):
         ref = fair_bernoulli_deficit_mp(0.25)
@@ -81,59 +130,80 @@ def test_overlapping_uniform_components():
 
 # (law, sigma, deficit_direct, mixture_entropy) from the per-atom routes
 PINNED = [
-    ("bernoulli(1/2)", 0.05, 7.970702240461401e-23, -0.883646559789373),
     ("bernoulli(1/2)", 0.1, 8.63165960845319e-07, -0.19050024239538832),
     ("bernoulli(1/2)", 0.25, 0.06042698682307834, 0.6653643658216492),
     ("bernoulli(1/2)", 0.45, 0.3076679522545335, 1.005910065292313),
     ("bernoulli(1/2)", 1.0, 0.5817256983752093, 1.5303600153894092),
-    ("bernoulli(0.3)", 0.05, 7.024511603647217e-23, -0.9659294382944245),
     ("bernoulli(0.3)", 0.1, 7.886694842676672e-07, -0.27278304640396334),
     ("bernoulli(0.3)", 0.25, 0.054714618042529195, 0.5887938560971465),
     ("bernoulli(0.3)", 0.45, 0.2759348312807022, 0.9553603077610923),
     ("bernoulli(0.3)", 1.0, 0.5159538281680962, 1.5138490070914699),
-    ("uniform{-1,0,1}", 0.05, 1.0627602987281913e-22, -0.47818145168120807),
     ("uniform{-1,0,1}", 0.1, 1.1508879477937593e-06, 0.2149645779907891),
     ("uniform{-1,0,1}", 0.25, 0.08056935159119413, 1.0506871091616978),
     ("uniform{-1,0,1}", 0.45, 0.41203151505802355, 1.3070116105969873),
     ("uniform{-1,0,1}", 1.0, 0.8448063040242151, 1.6727445178485674),
-    ("geometric{0..5}", 0.05, 1.080492540342296e-22, -0.27226175339375214),
     ("geometric{0..5}", 0.1, 1.19884874661259e-06, 0.4208842283174731),
     ("geometric{0..5}", 0.25, 0.08342031109330064, 1.2537558479470476),
     ("geometric{0..5}", 0.45, 0.42457010473071677, 1.5003927192117508),
     ("geometric{0..5}", 1.0, 0.8990996672873931, 1.8243708528728457),
-    ("bernoulli(1/2)", 0.03, 3.306657653822466e-61, -1.3944721835553628),
-    ("three_atom", 0.03, 4.522620164627942e-61, -1.057966350050736),
-    ("three_atom", 0.05, 1.0901786076983425e-22, -0.5471407262847446),
 ]
+# (law, sigma, mixture_entropy): the deficit is checked against deficit_mp
+PINNED_SMALL_SIGMA = [
+    ("bernoulli(1/2)", 0.05, -0.883646559789373),
+    ("bernoulli(0.3)", 0.05, -0.9659294382944245),
+    ("uniform{-1,0,1}", 0.05, -0.47818145168120807),
+    ("geometric{0..5}", 0.05, -0.27226175339375214),
+    ("bernoulli(1/2)", 0.03, -1.3944721835553628),
+    ("three_atom", 0.03, -1.057966350050736),
+    ("three_atom", 0.05, -0.5471407262847446),
+]
+LAWS = {**grid_laws(), "three_atom": THREE_ATOM}
 
 
 @pytest.mark.parametrize("label, sigma, direct, h_mixture", PINNED)
 def test_pinned_values(label, sigma, direct, h_mixture):
-    z = {**grid_laws(), "three_atom": THREE_ATOM}[label]
+    z = LAWS[label]
     g = GaussianDensity(sigma)
     dd = deficit_direct(z, g).nats
     hm = mixture_entropy(MixtureDensity(g, z)).nats
     assert abs(dd - direct) <= 1e-12
     assert abs(hm - h_mixture) <= 1e-12
-    if sigma <= 0.05:
-        assert abs(dd - direct) <= 1e-9 * direct
+
+
+@pytest.mark.parametrize("label, sigma, h_mixture", PINNED_SMALL_SIGMA)
+def test_small_sigma_values(label, sigma, h_mixture):
+    z = LAWS[label]
+    g = GaussianDensity(sigma)
+    dd = deficit_direct(z, g)
+    truth = float(deficit_mp(z, sigma))
+    assert dd.converged
+    assert abs(dd.nats - truth) <= 1e-10 * truth
+    assert dd.abs_error <= 1e-10 * truth
+    assert abs(mixture_entropy(MixtureDensity(g, z)).nats - h_mixture) <= 1e-12
+
+
+# 50-digit fair Bernoulli deficits, rounded to 11 digits
+@pytest.mark.parametrize("sigma, truth", [(0.03, 3.5816646348e-62), (0.05, 2.3657139673e-23)])
+def test_fair_bernoulli_small_sigma_truths(sigma, truth):
+    assert abs(float(deficit_mp(FAIR, sigma)) - truth) <= 1e-10 * truth
+    assert abs(deficit_direct(FAIR, GaussianDensity(sigma)).nats - truth) <= 1e-10 * truth
 
 
 @pytest.mark.parametrize(
-    "z, direct_calls, mixture_calls",
+    "z",
     [
-        (DiscreteLattice.uniform_support(24), 1, 1),
-        (DiscreteLattice((0, 1, 10**4), (0.4, 0.4, 0.2)), 1, 2),
-        (DiscreteLattice.point_mass(3), 0, 1),
+        DiscreteLattice.uniform_support(24),
+        DiscreteLattice((0, 1, 10**4), (0.4, 0.4, 0.2)),
+        DiscreteLattice.point_mass(3),
     ],
 )
-def test_one_quadrature_per_cluster(integrate_calls, z, direct_calls, mixture_calls):
+def test_one_quadrature_per_call(integrate_calls, z):
     g = GaussianDensity(0.25)
     deficit_direct(z, g)
-    assert len(integrate_calls) == direct_calls
+    assert integrate_calls == [(-0.5, 0.5)]
     integrate_calls.clear()
     mixture_entropy(MixtureDensity(g, z))
-    assert len(integrate_calls) == mixture_calls
+    assert integrate_calls == [(-0.5, 0.5)]
 
 
 @st.composite
@@ -158,8 +228,9 @@ def wide_laws(draw):
 
 
 @given(z=wide_laws(), sigma=st.floats(0.05, 4.0))
-# 200 atoms in one cluster, where the direct route's "others" sums dominate
+# 200 and 1000 contiguous atoms, where the direct route's "others" sums dominate
 @example(z=DiscreteLattice.uniform_support(200), sigma=0.25)
+@example(z=DiscreteLattice.uniform_support(1000), sigma=0.25)
 def test_routes_agree_on_random_supports(z, sigma):
     g = GaussianDensity(sigma)
     dd = deficit_direct(z, g)
