@@ -208,9 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 MixtureDensity(g, z),
                 McConfig(samples=samples, seed=seed + i),
             )
-            doc["mc_delta"] = (
-                discrete_entropy(z).nats + gaussian_entropy(g).nats - hmc.nats
-            )
+            doc["mc_delta"] = deficit_via_identity(z, g, cfg, hmc).nats
             doc["mc_se"] = hmc.abs_error
         docs.append(doc)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc, logsumexp
+from scipy.special import erfc
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -203,6 +203,15 @@ def tail_mass(g: GaussianDensity, z: float) -> float:
     return 0.5 * erfc(float(z) / (g.sigma * math.sqrt(2.0)))
 
 
+def _log_sum_exp(t: np.ndarray) -> np.ndarray:
+    """``ln sum exp(t)`` over the last axis, shifted by the row maximum so
+    that nothing overflows; a row of ``-inf`` gives ``-inf``."""
+    top = t.max(axis=-1, keepdims=True)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return top[..., 0] + np.log(np.exp(t - top).sum(axis=-1))
+
+
 @dataclass(frozen=True)
 class MixtureDensity:
     """Density of ``X + Z``: ``sum_k p_k f(x - k)`` with stable log evaluation."""
@@ -218,14 +227,10 @@ class MixtureDensity:
         any finite ``x``.  Accepts scalars or arrays.
         """
         x = np.asarray(x, dtype=float)
-        terms = np.stack(
-            [
-                lp + self.base.log_pdf(x - k)
-                for lp, k in zip(self.lattice.log_probs, self.lattice.support)
-            ]
+        support = np.asarray(self.lattice.support, dtype=float)
+        return _log_sum_exp(
+            np.asarray(self.lattice.log_probs) + self.base.log_pdf(x[..., None] - support)
         )
-        with np.errstate(invalid="ignore"):
-            return logsumexp(terms, axis=0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         atoms = rng.choice(

@@ -183,7 +183,15 @@ def test_small_sigma_values(label, sigma, h_mixture):
 
 
 # 50-digit fair Bernoulli deficits, rounded to 11 digits
-@pytest.mark.parametrize("sigma, truth", [(0.03, 3.5816646348e-62), (0.05, 2.3657139673e-23)])
+@pytest.mark.parametrize(
+    "sigma, truth",
+    [
+        (0.03, 3.5816646348e-62),
+        (0.05, 2.3657139673e-23),
+        (0.015, 1.9934197248e-243),
+        (0.0135, 4.5572549900e-300),
+    ],
+)
 def test_fair_bernoulli_small_sigma_truths(sigma, truth):
     assert abs(float(deficit_mp(FAIR, sigma)) - truth) <= 1e-10 * truth
     assert abs(deficit_direct(FAIR, GaussianDensity(sigma)).nats - truth) <= 1e-10 * truth

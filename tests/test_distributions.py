@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,13 @@ class TestMixtureLogDensity:
         m = MixtureDensity(UniformDensity(0.25), DiscreteLattice.bernoulli(0.5))
         assert m.log_density(0.5) == -math.inf
         assert math.isfinite(m.log_density(0.1))
+        xs = np.array([0.1, 0.5, -0.3, 0.9, 1.5, 0.25, 0.75, -0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ld = m.log_density(xs)
+        outside = np.array([False, True, True, False, True, True, True, False])
+        assert np.all(ld[outside] == -math.inf)
+        assert np.all(np.isfinite(ld[~outside]))
 
     def test_vectorized_matches_scalar(self):
         m = MixtureDensity(

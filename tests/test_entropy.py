@@ -151,12 +151,27 @@ class TestDeficit:
         assert abs(deficit_via_identity(FAIR, u).nats) <= 1e-12
         assert abs(deficit_direct(FAIR, u).nats) <= 1e-12
 
-    def test_small_sigma_floor_reports_envelope(self):
+    def test_small_sigma_is_resolved_until_it_underflows(self):
+        # no floor: at sigma = 0.015 delta ~ 2e-243 is resolved to a relative
+        # 1e-8; at 0.01 it is below the smallest double and comes out as 0
         dd = deficit_direct(FAIR, GaussianDensity(0.015))
-        assert dd.nats == 0.0
-        assert dd.abs_error == theorem1_upper_bound(0.015)
-        assert dd.abs_error > 0.0
         assert dd.converged
+        assert 0.0 < dd.abs_error < 1e-8 * dd.nats
+        assert dd.nats <= theorem1_upper_bound(0.015)
+        tiny = deficit_direct(FAIR, GaussianDensity(0.01))
+        assert tiny.converged
+        assert tiny.nats == 0.0
+
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-4])
+    @pytest.mark.parametrize("z", [FAIR, DiscreteLattice((0, 2, 7), (0.2, 0.5, 0.3))])
+    def test_narrow_peaks_give_exact_mixture_entropy(self, z, sigma):
+        # the components do not overlap to double precision, so
+        # h(X+Z) = H(Z) + h(X)
+        g = GaussianDensity(sigma)
+        hm = mixture_entropy(MixtureDensity(g, z))
+        exact = discrete_entropy(z).nats + gaussian_entropy(g).nats
+        assert hm.converged
+        assert abs(hm.nats - exact) <= 1e-12 * abs(exact)
 
     def test_nonconvergence_propagates(self):
         cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
