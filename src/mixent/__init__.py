@@ -3,7 +3,6 @@
 
 from .bounds import (
     BoundReport,
-    BoundValue,
     bernoulli_lower_bound,
     big_sigma_lower_bound,
     lemma1_upper_bound,
@@ -34,7 +33,6 @@ from .entropy import (
 from .landauer import (
     BitMemoryModel,
     ResetReport,
-    binary_entropy,
     rescale_to_unit_lattice,
     reset_report,
 )
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMemoryModel",
     "BoundReport",
-    "BoundValue",
     "DiscreteLattice",
     "DistributionError",
     "DomainError",
@@ -69,7 +66,6 @@ __all__ = [
     "UniformDensity",
     "bernoulli_lower_bound",
     "big_sigma_lower_bound",
-    "binary_entropy",
     "deficit_direct",
     "deficit_via_identity",
     "discrete_entropy",

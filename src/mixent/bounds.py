@@ -48,33 +48,21 @@ def _require_subcritical(sigma: float, what: str) -> float:
     return sigma
 
 
-class BoundValue(float):
-    """A float that also carries its quadrature's ``converged`` flag and
-    ``abs_error`` estimate."""
-
-    def __new__(cls, v: EntropyValue) -> "BoundValue":
-        value = super().__new__(cls, v.nats)
-        value.converged = v.converged
-        value.abs_error = v.abs_error
-        return value
-
-
 def lemma1_upper_bound(
     g: GaussianDensity, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> BoundValue:
+) -> EntropyValue:
     """Numeric value of the Z-independent deficit bound
 
         L = int f(y) ln(1 + sum_{m != 0} f(y+m) / f(y)) dy,
 
     folded onto one period (``y = u + n``, ``|u| <= 1/2``): the direct-route
     deficit quadrature on the one cell ``n = 0`` with unit-weight atoms
-    ``-M..M``, ``M = ceil(1/2 + 40 sigma)``, carrying ``converged`` and
-    ``abs_error``.
+    ``-M..M``, ``M = ceil(1/2 + 40 sigma)``.
     """
     m = math.ceil(0.5 + WINDOW_SIGMAS * g.sigma)
     atoms = np.arange(-m, m + 1)
     cell = np.zeros(1, int)
-    return BoundValue(_deficit_quadrature(atoms, np.zeros(atoms.size), g, cfg, cell))
+    return _deficit_quadrature(atoms, np.zeros(atoms.size), g, cfg, cell)
 
 
 def lemma3_near_zero_term(g: GaussianDensity) -> float:
@@ -200,7 +188,7 @@ def sandwich_report(
     hi = delta.nats + delta.abs_error
     lo = delta.nats - delta.abs_error
     # 0 <= delta <= H(Z) holds for every law
-    uppers = [discrete_entropy(z).nats, lemma1]
+    uppers = [discrete_entropy(z).nats, lemma1.nats]
     if lemma4 is not None:
         uppers.append(lemma3 + lemma4)
     if thm1 is not None:
@@ -217,7 +205,7 @@ def sandwich_report(
         z_descriptor=json.dumps(z.to_json(), separators=(",", ":")),
         delta_quadrature=delta.nats,
         delta_error=delta.abs_error,
-        lemma1_numeric_ub=float(lemma1),
+        lemma1_numeric_ub=lemma1.nats,
         lemma3_term=lemma3,
         lemma4_term=lemma4,
         theorem1_ub=thm1,

@@ -167,8 +167,8 @@ def check_bound_chain(cfg: QuadratureConfig, quick: bool = False) -> CheckResult
         split = lemma3_near_zero_term(g) + lemma4_far_term(g)
         t1 = theorem1_upper_bound(sigma)
         for lo, hi, what in (
-            (dd.nats, l1, "delta <= lemma1"),
-            (l1, split, "lemma1 <= lemma3+lemma4"),
+            (dd.nats, l1.nats, "delta <= lemma1"),
+            (l1.nats, split, "lemma1 <= lemma3+lemma4"),
             (split, t1, "lemma3+lemma4 <= theorem1"),
         ):
             if hi - lo < -1e-10:

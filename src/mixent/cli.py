@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import landauer as landauer_mod
-from .checks import run_all_checks
+from .checks import MC_SEED_BASE, run_all_checks
 from .distributions import (
     DiscreteLattice,
     DistributionError,
@@ -60,13 +60,19 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.quad_abs_tol, rel_tol=args.quad_rel_tol)
 
 
-def _mc_settings(args: argparse.Namespace) -> tuple[int, int]:
-    """``(--mc-samples, --seed)``; a seed without samples would go unread."""
-    if args.mc_samples < 0:
-        raise CliError(f"mc-samples must be >= 0 (got {args.mc_samples})")
+def _mc_config(samples: int, seed: int) -> McConfig:
+    """McConfig's own rule, applied to ``--mc-samples`` before any quadrature."""
+    try:
+        return McConfig(samples=samples, seed=seed)
+    except ValueError as exc:
+        raise CliError(f"mc-samples {samples}, seed {seed}: {exc}") from exc
+
+
+def _mc_settings(args: argparse.Namespace) -> Optional[McConfig]:
+    """Entropy and sweep's ``--mc-samples``/``--seed``; None for 0 samples."""
     if args.seed is not None and args.mc_samples == 0:
         raise CliError("--seed needs --mc-samples > 0")
-    return args.mc_samples, args.seed or 0
+    return _mc_config(args.mc_samples, args.seed or 0) if args.mc_samples else None
 
 
 def _parse_dist(spec: str) -> DiscreteLattice:
@@ -144,7 +150,7 @@ def _exit_code(converged: bool, what: str = "quadrature") -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    samples, seed = _mc_settings(args)
+    mc = _mc_settings(args)
     z = _parse_dist(args.dist)
     g = GaussianDensity(args.sigma)
     cfg = _quad_config(args)
@@ -158,8 +164,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         ("delta_direct", deficit_direct(z, g, cfg)),
         ("delta_identity", deficit_via_identity(z, g, cfg, hm)),
     ]
-    if samples > 0:
-        quantities.append(("h_mc", mc_entropy(m, McConfig(samples=samples, seed=seed))))
+    if mc is not None:
+        quantities.append(("h_mc", mc_entropy(m, mc)))
     converged = all(v.converged for _, v in quantities)
 
     doc = {"sigma": args.sigma, "z": z.to_json(), "converged": converged}
@@ -186,33 +192,27 @@ def _sigma_grid(args: argparse.Namespace) -> np.ndarray:
         )
     if args.steps < 1:
         raise CliError(f"steps must be >= 1 (got {args.steps})")
-    if args.steps == 1:
-        return np.asarray([args.sigma_start])
     if args.spacing == "linear":
         return np.linspace(args.sigma_start, args.sigma_end, args.steps)
     return np.geomspace(args.sigma_start, args.sigma_end, args.steps)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    samples, seed = _mc_settings(args)
+    mc = _mc_settings(args)
     z = _parse_dist(args.dist)
     cfg = _quad_config(args)
-    with_mc = samples > 0
 
     docs = []
     for i, sigma in enumerate(_sigma_grid(args)):
         doc = bounds_mod.sandwich_report(z, float(sigma), cfg).to_json_dict()
-        if with_mc:
+        if mc is not None:
             g = GaussianDensity(float(sigma))
-            hmc = mc_entropy(
-                MixtureDensity(g, z),
-                McConfig(samples=samples, seed=seed + i),
-            )
+            hmc = mc_entropy(MixtureDensity(g, z), replace(mc, seed=mc.seed + i))
             doc["mc_delta"] = deficit_via_identity(z, g, cfg, hmc).nats
             doc["mc_se"] = hmc.abs_error
         docs.append(doc)
 
-    header = bounds_mod.CSV_COLUMNS + (("mc_delta", "mc_se") if with_mc else ())
+    header = bounds_mod.CSV_COLUMNS + (("mc_delta", "mc_se") if mc is not None else ())
     _render(args, docs, header, [[doc[c] for c in header] for doc in docs])
     return _exit_code(all(doc["converged"] for doc in docs), "some rows")
 
@@ -221,8 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.mc_samples < 1:
-        raise CliError(f"mc-samples must be >= 1 (got {args.mc_samples})")
+    _mc_config(args.mc_samples, MC_SEED_BASE)
     cfg = _quad_config(args)
     results = run_all_checks(cfg, quick=args.quick, mc_samples=args.mc_samples)
     width = max(len(r.name) for r in results)

@@ -93,9 +93,6 @@ class DiscreteLattice:
             and self.probs[0] == self.probs[1]
         )
 
-    def shifted(self, offset: int) -> "DiscreteLattice":
-        return DiscreteLattice(tuple(k + offset for k in self.support), self.probs)
-
     # -- construction helpers / JSON wire format --
 
     @classmethod
@@ -157,9 +154,6 @@ class GaussianDensity:
         u = np.asarray(x, dtype=float) / self.sigma
         return -0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
 
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
-
     def entropy_nats(self) -> float:
         return 0.5 * math.log(2.0 * math.pi * math.e * self.sigma**2)
 
@@ -183,9 +177,6 @@ class UniformDensity:
         inside_log = -math.log(2.0 * self.half_width)
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) < self.half_width, inside_log, -np.inf)
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
 
     def entropy_nats(self) -> float:
         return math.log(2.0 * self.half_width)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -68,16 +69,16 @@ class McConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 2:
+            raise ValueError("samples must be >= 2 for a standard error")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
 
 def discrete_entropy(z: DiscreteLattice) -> EntropyValue:
-    """Shannon entropy ``-sum p_i ln p_i`` in nats (zero atoms were dropped
-    at construction, implementing the ``0 ln 0 -> 0`` convention)."""
-    nats = -math.fsum(p * lp for p, lp in zip(z.probs, z.log_probs))
+    """Shannon entropy ``0 - sum p_i ln p_i`` in nats, +0 for a point mass
+    (zero atoms were dropped at construction: ``0 ln 0 -> 0``)."""
+    nats = 0.0 - math.fsum(p * lp for p, lp in zip(z.probs, z.log_probs))
     return EntropyValue(nats, EntropyMethod.CLOSED_FORM, 0.0)
 
 
@@ -170,14 +171,18 @@ def _deficit_quadrature(support, log_probs, base, cfg, cells=None) -> EntropyVal
     """The deficit integral over the folded period.  For a Gaussian base the
     weights are scaled by ``exp(d^2 / (8 sigma^2))``, ``d`` the smallest gap,
     which brings the integrand (linear in a common weight) to a peak of
-    order 1; the result is scaled back."""
+    order 1; the result is scaled back.  Below the smallest normal double
+    the error also counts the roundings of the scale and the product."""
     s = 0.0
     if isinstance(base, GaussianDensity) and len(support) > 1:
         s = float(np.diff(support).min()) ** 2 / (8.0 * base.sigma**2)
     lps = np.add(log_probs, s)
     v = _integrate_folded(_deficit_body, support, lps, base, cfg, cells)
     scale = math.exp(-s)
-    return replace(v, nats=v.nats * scale, abs_error=v.abs_error * scale)
+    nats, err = v.nats * scale, v.abs_error * scale
+    if v.nats > 0.0 and nats < sys.float_info.min:
+        err += v.nats * math.ulp(scale) + math.ulp(nats)
+    return replace(v, nats=nats, abs_error=err)
 
 
 def deficit_direct(
@@ -186,8 +191,8 @@ def deficit_direct(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> EntropyValue:
     """Deficit ``H(Z) + h(X) - h(X+Z)`` from its defining integral, one
-    quadrature over the folded period.  For adjacent atoms it is a normal
-    double down to ``sigma`` ~ 0.0134 and underflows to 0 below ~ 0.0129."""
+    quadrature over the folded period.  For adjacent atoms it is subnormal
+    below ``sigma`` ~ 0.0134 (its error covers the rounding) and 0 below ~ 0.0129."""
     return _deficit_quadrature(z.support, z.log_probs, base, cfg)
 
 
@@ -216,8 +221,6 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
     """Plug-in Monte Carlo entropy: ``-mean(log_density(x_i))`` over samples
     drawn from the mixture itself, with the standard error of the mean as
     the error estimate.  Same seed, same result, bit for bit."""
-    if cfg.samples < 2:
-        raise ValueError("mc_entropy needs samples >= 2 for a standard error")
     rng = np.random.default_rng(cfg.seed)
     xs = m.sample(rng, cfg.samples)
     ld = m.log_density(xs)

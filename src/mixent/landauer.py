@@ -18,7 +18,7 @@ from typing import Optional
 
 from .bounds import theorem1_upper_bound
 from .distributions import DiscreteLattice, DistributionError, GaussianDensity
-from .entropy import deficit_direct
+from .entropy import deficit_direct, discrete_entropy
 from .numerics import _LN2, DEFAULT_QUADRATURE, QuadratureConfig
 
 
@@ -33,15 +33,6 @@ CSV_COLUMNS = (
     "deficit",
     "envelope",
 )
-
-
-def binary_entropy(p: float) -> float:
-    """``-p ln p - (1-p) ln(1-p)`` with the 0 ln 0 -> 0 convention."""
-    if not (0.0 <= p <= 1.0):
-        raise DistributionError(f"probability {p!r} is outside [0, 1]")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -74,14 +65,10 @@ def rescale_to_unit_lattice(
 
     The affine change ``x -> (x + mu) / (2 mu)`` divides the noise scale by
     ``2 mu`` and shifts every entropy by ``log_jacobian = ln(2 mu)``, which
-    the caller adds back (``h(aX) = h(X) + ln a``).
+    the caller adds back (``h(aX) = h(X) + ln a``).  ``p1`` 0 or 1 leaves a
+    point mass: the lattice drops the empty well.
     """
-    if model.p1 == 0.0:
-        lattice = DiscreteLattice.point_mass(0)
-    elif model.p1 == 1.0:
-        lattice = DiscreteLattice.point_mass(1)
-    else:
-        lattice = DiscreteLattice.bernoulli(model.p1)
+    lattice = DiscreteLattice.bernoulli(model.p1)
     return lattice, GaussianDensity(model.sigma_eff), math.log(2.0 * model.mu)
 
 
@@ -141,7 +128,7 @@ def reset_report(
     envelope bounding how far the drop can fall short of ideal."""
     lattice, g_eff, log_jacobian = rescale_to_unit_lattice(model)
     delta = deficit_direct(lattice, g_eff, cfg)
-    ideal = binary_entropy(model.p1)
+    ideal = discrete_entropy(lattice).nats
     h_after = GaussianDensity(model.sigma).entropy_nats()
     # h(noise_eff) + log_jacobian == h(noise) == h_after, so the identity
     # route gives h_before with the deficit as the only numeric term.

@@ -27,6 +27,9 @@ _LN2 = math.log(2.0)
 SERIES_TRUNCATION = 1e-18
 _MIN_SERIES_TERMS = 3
 
+# QUADPACK's subdivision budget; exhausting it flags a result unconverged.
+_MAX_SUBDIVISIONS = 2000
+
 
 class InvalidInterval(ValueError):
     """Integration interval with ``a >= b``."""
@@ -40,13 +43,10 @@ class DomainError(ValueError):
 class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -87,7 +87,7 @@ def integrate(
         b,
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        limit=_MAX_SUBDIVISIONS,
         full_output=1,
         **kwargs,
     )

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import mixent.bounds as bounds_mod
 from mixent.bounds import (
     CSV_COLUMNS,
-    BoundValue,
     bernoulli_lower_bound,
     big_sigma_lower_bound,
     lemma1_upper_bound,
@@ -202,19 +201,19 @@ class TestClosedForms:
 class TestLemma1:
     def test_orders_between_deficit_and_closed_form(self):
         g = GaussianDensity(0.25)
-        value = lemma1_upper_bound(g)
+        value = lemma1_upper_bound(g).nats
         assert deficit_direct(FAIR, g).nats <= value <= theorem1_upper_bound(0.25)
 
     def test_below_closed_form_at_small_sigma(self):
-        assert lemma1_upper_bound(GaussianDensity(0.1)) <= theorem1_upper_bound(0.1)
+        assert lemma1_upper_bound(GaussianDensity(0.1)).nats <= theorem1_upper_bound(0.1)
 
     def test_finite_positive_near_half(self):
-        value = lemma1_upper_bound(GaussianDensity(0.45))
+        value = lemma1_upper_bound(GaussianDensity(0.45)).nats
         assert math.isfinite(value) and value > 0.0
 
     def test_independent_reference(self):
         # frozen from a 25-digit evaluation of the bound integral
-        assert lemma1_upper_bound(GaussianDensity(0.25)) == pytest.approx(
+        assert lemma1_upper_bound(GaussianDensity(0.25)).nats == pytest.approx(
             0.1208540811274, rel=1e-10
         )
 
@@ -222,7 +221,7 @@ class TestLemma1:
     def test_matches_theta_function_oracle(self, sigma):
         value = lemma1_upper_bound(GaussianDensity(sigma))
         assert value.converged
-        assert abs(value - float(lemma1_mp(sigma))) <= 1e-12 * value
+        assert abs(value.nats - float(lemma1_mp(sigma))) <= 1e-12 * value.nats
 
     @pytest.mark.parametrize(
         "sigma, pinned",
@@ -234,8 +233,8 @@ class TestLemma1:
     def test_pinned_values(self, sigma, pinned):
         value = lemma1_upper_bound(GaussianDensity(float(sigma)))
         assert value.converged
-        assert abs(value - pinned) <= 1e-12
-        assert abs(value - pinned) <= 1e-10 * pinned
+        assert abs(value.nats - pinned) <= 1e-12
+        assert abs(value.nats - pinned) <= 1e-10 * pinned
 
     @pytest.mark.parametrize(
         "sigma", [float(s) for s, p in PINNED_SWEEPS if p is None]
@@ -244,7 +243,7 @@ class TestLemma1:
         value = lemma1_upper_bound(GaussianDensity(sigma))
         truth = float(lemma1_log1p_mp(sigma))
         assert value.converged
-        assert abs(value - truth) <= 1e-10 * truth
+        assert abs(value.nats - truth) <= 1e-10 * truth
         assert value.abs_error <= 1e-10 * truth
 
     def test_small_sigma_truth(self):
@@ -252,7 +251,7 @@ class TestLemma1:
         # deficit at this sigma, as the m = +-1 terms dominate
         truth = 7.1633292697e-62
         assert abs(float(lemma1_log1p_mp(0.03)) - truth) <= 1e-10 * truth
-        assert abs(lemma1_upper_bound(GaussianDensity(0.03)) - truth) <= 1e-10 * truth
+        assert abs(lemma1_upper_bound(GaussianDensity(0.03)).nats - truth) <= 1e-10 * truth
 
     @pytest.mark.parametrize("sigma", [0.03, 0.25, 8.0])
     def test_one_quadrature_over_one_period(self, integrate_calls, sigma):
@@ -262,7 +261,7 @@ class TestLemma1:
     def test_carries_quadrature_error(self):
         value = lemma1_upper_bound(GaussianDensity(0.25))
         assert 0.0 <= value.abs_error <= 1e-10
-        assert abs(value - float(lemma1_mp(0.25))) <= value.abs_error + 1e-15
+        assert abs(value.nats - float(lemma1_mp(0.25))) <= value.abs_error + 1e-15
 
 
 class TestOrderingChain:
@@ -274,7 +273,7 @@ class TestOrderingChain:
     def test_chain_holds(self, z, sigma):
         g = GaussianDensity(sigma)
         delta = deficit_direct(z, g).nats
-        l1 = lemma1_upper_bound(g)
+        l1 = lemma1_upper_bound(g).nats
         split = lemma3_near_zero_term(g) + lemma4_far_term(g)
         t1 = theorem1_upper_bound(sigma)
         assert l1 - delta >= -1e-10
@@ -351,8 +350,7 @@ class TestSandwichReport:
         real = bounds_mod.lemma1_upper_bound
 
         def unconverged(g, cfg):
-            value = EntropyValue(real(g, cfg), EntropyMethod.QUADRATURE, 0.0, False)
-            return BoundValue(value)
+            return EntropyValue(real(g, cfg).nats, EntropyMethod.QUADRATURE, 0.0, False)
 
         monkeypatch.setattr(bounds_mod, "lemma1_upper_bound", unconverged)
         r = sandwich_report(FAIR, 0.25)

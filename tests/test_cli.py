@@ -361,6 +361,24 @@ def test_unread_or_negative_mc_flags_exit_2(capsys, command, mc_flags, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--quick"],
+        ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON],
+        ["sweep", "--sigma-start", "0.25", "--sigma-end", "1", "--steps", "2",
+         "--dist", FAIR_JSON],
+    ],
+    ids=["validate", "entropy", "sweep"],
+)
+def test_one_mc_sample_exits_2_before_any_quadrature(capsys, integrate_calls, argv):
+    code, out, err = run_cli(capsys, *argv, "--mc-samples", "1")
+    assert code == 2
+    assert out == ""
+    assert "mc-samples 1" in err and "samples must be >= 2" in err
+    assert integrate_calls == []
+
+
 def test_output_into_missing_directory_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(

@@ -197,6 +197,29 @@ def test_fair_bernoulli_small_sigma_truths(sigma, truth):
     assert abs(deficit_direct(FAIR, GaussianDensity(sigma)).nats - truth) <= 1e-10 * truth
 
 
+# 50-digit fair Bernoulli deficits (``deficit_mp``) where the double is
+# subnormal or 0: the error must cover the rounding to so few digits
+@pytest.mark.parametrize(
+    "sigma, truth",
+    [
+        (0.0132, "9.0275478537e-314"),
+        (0.013, "1.94379237645e-323"),
+        (0.0125, "1.14765003916e-349"),
+    ],
+)
+def test_subnormal_deficits_carry_their_rounding(sigma, truth):
+    dd = deficit_direct(FAIR, GaussianDensity(sigma))
+    assert dd.converged
+    assert 0.0 < dd.abs_error <= 2 * math.ulp(dd.nats)
+    assert abs(mpmath.mpf(dd.nats) - mpmath.mpf(truth)) <= dd.abs_error
+
+
+def test_point_mass_deficit_stays_exact():
+    for sigma in (0.0125, 0.25):
+        dd = deficit_direct(DiscreteLattice.point_mass(3), GaussianDensity(sigma))
+        assert (dd.nats, dd.abs_error) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize(
     "z",
     [

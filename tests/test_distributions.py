@@ -102,10 +102,6 @@ class TestDiscreteLattice:
     def test_fair_adjacent_bernoulli_detection(self, z, expected):
         assert z.is_fair_adjacent_bernoulli() is expected
 
-    def test_shifted(self):
-        z = DiscreteLattice.bernoulli(0.5).shifted(3)
-        assert z.support == (3, 4)
-
 
 class TestGaussianDensity:
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
@@ -125,7 +121,7 @@ class TestGaussianDensity:
 
     def test_normalizes(self):
         g = GaussianDensity(0.7)
-        qr = integrate(lambda x: g.pdf(x), -np.inf, np.inf)
+        qr = integrate(lambda x: np.exp(g.log_pdf(x)), -np.inf, np.inf)
         assert abs(qr.value - 1.0) <= max(qr.abs_error_estimate, 1e-12)
 
 

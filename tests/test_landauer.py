@@ -10,11 +10,10 @@ from mixent.distributions import (
     MixtureDensity,
 )
 from mixent.cli import main
-from mixent.entropy import mixture_entropy
+from mixent.entropy import discrete_entropy, mixture_entropy
 from mixent.landauer import (
     CSV_COLUMNS,
     BitMemoryModel,
-    binary_entropy,
     rescale_to_unit_lattice,
     reset_report,
 )
@@ -39,14 +38,18 @@ class TestBitMemoryModel:
 
 
 class TestBinaryEntropy:
+    @staticmethod
+    def binary_entropy(p):
+        return discrete_entropy(DiscreteLattice.bernoulli(p)).nats
+
     def test_values(self):
-        assert binary_entropy(0.5) == pytest.approx(LN2, rel=1e-15)
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
+        assert self.binary_entropy(0.5) == pytest.approx(LN2, rel=1e-15)
+        assert self.binary_entropy(0.0) == 0.0
+        assert self.binary_entropy(1.0) == 0.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DistributionError):
-            binary_entropy(1.2)
+            self.binary_entropy(1.2)
 
 
 class TestRescale:
@@ -98,6 +101,7 @@ class TestResetReport:
         rr = reset_report(BitMemoryModel(mu=0.5, sigma=0.25, p1=1.0))
         assert abs(rr.delta_h) <= 1e-12
         assert rr.ideal == 0.0
+        assert math.copysign(1.0, rr.ideal) == 1.0  # +0, printed "0" not "-0"
 
     def test_large_noise_loses_most_of_the_bit(self):
         rr = reset_report(BitMemoryModel(mu=0.5, sigma=1.0, p1=0.5))

@@ -29,7 +29,6 @@ class TestQuadratureConfig:
         [
             {"abs_tol": 0.0},
             {"rel_tol": -1e-3},
-            {"max_subdivisions": 0},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -50,7 +49,7 @@ class TestIntegrate:
 
     def test_tail_matches_erfc_oracle(self):
         g = GaussianDensity(0.25)
-        qr = integrate(lambda x: g.pdf(x), 0.5, np.inf)
+        qr = integrate(lambda x: np.exp(g.log_pdf(x)), 0.5, np.inf)
         assert abs(qr.value - tail_mass(g, 0.5)) <= 1e-10
 
     def test_invalid_interval(self):
@@ -60,7 +59,7 @@ class TestIntegrate:
             integrate(_phi, 2.0, -2.0)
 
     def test_nonconvergence_is_flagged_not_raised(self):
-        cfg = QuadratureConfig(max_subdivisions=1)
+        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30)
         qr = integrate(lambda x: math.exp(-x * x / 2e-4), -10.0, 10.0, cfg)
         assert isinstance(qr, QuadratureResult)
         assert not qr.converged
@@ -72,15 +71,15 @@ class TestIntegrate:
 
     def test_points_help_narrow_spikes(self):
         g = GaussianDensity(0.01)
-        qr = integrate(lambda x: g.pdf(x - 3.0), -20.0, 20.0, points=[3.0])
+        qr = integrate(lambda x: np.exp(g.log_pdf(x - 3.0)), -20.0, 20.0, points=[3.0])
         assert abs(qr.value - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
     def test_gaussian_moments_within_reported_error(self, sigma):
         g = GaussianDensity(sigma)
-        mass = integrate(lambda x: g.pdf(x), -np.inf, np.inf)
+        mass = integrate(lambda x: np.exp(g.log_pdf(x)), -np.inf, np.inf)
         assert abs(mass.value - 1.0) <= max(mass.abs_error_estimate, 1e-13)
-        second = integrate(lambda x: x * x * g.pdf(x), -np.inf, np.inf)
+        second = integrate(lambda x: x * x * np.exp(g.log_pdf(x)), -np.inf, np.inf)
         assert abs(second.value - sigma**2) <= max(
             second.abs_error_estimate, 1e-13 * sigma**2
         )
