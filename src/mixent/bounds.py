@@ -17,7 +17,6 @@ which grows toward ``ln 2 / 2`` and shows the deficit stays large once
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -125,42 +124,27 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Deficit estimate for one ``(sigma, Z)`` pair with every applicable bound.
+    """Deficit estimate for one ``(sigma, Z)`` pair with every applicable
+    bound; the fields are the sweep's output columns.
 
-    ``sandwich_ok`` is True when 0 and every present lower bound are at most
-    ``delta_quadrature + delta_error``, ``delta_quadrature - delta_error`` is
-    at most H(Z) and every present upper bound (lemma1, lemma3+lemma4,
-    theorem1), and the deficit and lemma1 quadratures converged (``converged``).
+    ``ok`` is True when 0 and every present lower bound are at most
+    ``delta + delta_err``, ``delta - delta_err`` is at most H(Z) and every
+    present upper bound (lemma1, lemma3+lemma4, thm1), and the deficit and
+    lemma1 quadratures converged (``converged``).
     """
 
     sigma: float
-    z_descriptor: str
-    delta_quadrature: float
-    delta_error: float
-    lemma1_numeric_ub: float
-    lemma3_term: float
-    lemma4_term: Optional[float]
-    theorem1_ub: Optional[float]
-    bernoulli_lb: Optional[float]
-    big_sigma_lb: Optional[float]
-    sandwich_ok: bool
+    z: DiscreteLattice
+    delta: float
+    delta_err: float
+    lemma1: float
+    lemma3: float
+    lemma4: Optional[float]
+    thm1: Optional[float]
+    bern_lb: Optional[float]
+    bigsig_lb: Optional[float]
+    ok: bool
     converged: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "z": json.loads(self.z_descriptor),
-            "delta": self.delta_quadrature,
-            "delta_err": self.delta_error,
-            "lemma1": self.lemma1_numeric_ub,
-            "lemma3": self.lemma3_term,
-            "lemma4": self.lemma4_term,
-            "thm1": self.theorem1_ub,
-            "bern_lb": self.bernoulli_lb,
-            "bigsig_lb": self.big_sigma_lb,
-            "ok": self.sandwich_ok,
-            "converged": self.converged,
-        }
 
 
 def sandwich_report(
@@ -172,7 +156,7 @@ def sandwich_report(
 
     The Bernoulli-specific lower bounds require an exact structural match
     (two equal-weight atoms on adjacent integers); ``bernoulli_lb`` applies
-    below ``sigma = 1/2``, ``big_sigma_lb`` at and above it.
+    below ``sigma = 1/2``, ``bigsig_lb`` at and above it.
     """
     g = GaussianDensity(sigma)
     delta: EntropyValue = deficit_direct(z, g, cfg)
@@ -202,15 +186,15 @@ def sandwich_report(
     )
     return BoundReport(
         sigma=float(sigma),
-        z_descriptor=json.dumps(z.to_json(), separators=(",", ":")),
-        delta_quadrature=delta.nats,
-        delta_error=delta.abs_error,
-        lemma1_numeric_ub=lemma1.nats,
-        lemma3_term=lemma3,
-        lemma4_term=lemma4,
-        theorem1_ub=thm1,
-        bernoulli_lb=bern_lb,
-        big_sigma_lb=bigsig_lb,
-        sandwich_ok=ok,
+        z=z,
+        delta=delta.nats,
+        delta_err=delta.abs_error,
+        lemma1=lemma1.nats,
+        lemma3=lemma3,
+        lemma4=lemma4,
+        thm1=thm1,
+        bern_lb=bern_lb,
+        bigsig_lb=bigsig_lb,
+        ok=ok,
         converged=converged,
     )

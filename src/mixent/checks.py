@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import (
+    BoundReport,
     bernoulli_lower_bound,
-    big_sigma_lower_bound,
-    lemma1_upper_bound,
-    lemma3_near_zero_term,
-    lemma4_far_term,
+    sandwich_report,
     theorem1_upper_bound,
 )
 from .distributions import (
@@ -66,7 +64,7 @@ def _geometric_truncated(ratio: float = 0.5, top: int = 5) -> DiscreteLattice:
     return DiscreteLattice(tuple(range(top + 1)), tuple(w / total for w in weights))
 
 
-def test_grid_laws() -> dict[str, DiscreteLattice]:
+def grid_laws() -> dict[str, DiscreteLattice]:
     return {
         "bernoulli(1/2)": DiscreteLattice.bernoulli(0.5),
         "bernoulli(0.3)": DiscreteLattice.bernoulli(0.3),
@@ -90,7 +88,7 @@ def _result(name: str, failures: list[str], summary: str) -> CheckResult:
 
 def check_identity(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
     """Both deficit routes agree within their combined reported errors."""
-    laws = test_grid_laws()
+    laws = grid_laws()
     sigmas = (0.1, 0.25) if quick else IDENTITY_SIGMA_GRID
     if quick:
         laws = {k: laws[k] for k in ("bernoulli(1/2)", "uniform{-1,0,1}")}
@@ -127,55 +125,50 @@ def check_identity(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
     )
 
 
-def check_sharpness_sandwich(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
+def check_sharpness_sandwich(reports: Sequence[BoundReport]) -> CheckResult:
     """Fair Bernoulli deficit sits between its closed-form bounds."""
-    z = DiscreteLattice.bernoulli(0.5)
-    sigmas = (0.15, 0.25, 0.45) if quick else SHARPNESS_GRID
+    rows = [r for r in reports if r.sigma < 0.5]
     failures = []
-    for sigma in sigmas:
-        dd = deficit_direct(z, GaussianDensity(sigma), cfg)
-        if not dd.converged:
-            failures.append(f"NonConvergence at sigma={sigma}")
+    for r in rows:
+        if not r.converged:
+            failures.append(f"NonConvergence at sigma={r.sigma}")
             continue
-        lb = bernoulli_lower_bound(sigma)
-        ub = theorem1_upper_bound(sigma)
-        if not lb <= dd.nats:
-            failures.append(f"sigma={sigma}: lower {lb:.9e} <= delta {dd.nats:.9e} fails")
-        if not dd.nats <= ub:
-            failures.append(f"sigma={sigma}: delta {dd.nats:.9e} <= upper {ub:.9e} fails")
-        if sigma == 0.25:
+        if not r.bern_lb <= r.delta:
+            failures.append(
+                f"sigma={r.sigma}: lower {r.bern_lb:.9e} <= delta {r.delta:.9e} fails"
+            )
+        if not r.delta <= r.thm1:
+            failures.append(
+                f"sigma={r.sigma}: delta {r.delta:.9e} <= upper {r.thm1:.9e} fails"
+            )
+        if r.sigma == 0.25:
             lo, hi = DELTA_INTERVAL_AT_025
-            if not lo <= dd.nats <= hi:
+            if not lo <= r.delta <= hi:
                 failures.append(
-                    f"sigma=0.25: delta {dd.nats:.9e} outside [{lo}, {hi}]"
+                    f"sigma=0.25: delta {r.delta:.9e} outside [{lo}, {hi}]"
                 )
-    return _result("sharpness_sandwich", failures, f"{len(sigmas)} sigma points inside")
+    return _result("sharpness_sandwich", failures, f"{len(rows)} sigma points inside")
 
 
-def check_bound_chain(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
+def check_bound_chain(reports: Sequence[BoundReport]) -> CheckResult:
     """delta <= lemma1 <= lemma3 + lemma4 <= theorem1, gaps >= -1e-10."""
-    z = DiscreteLattice.bernoulli(0.5)
-    sigmas = (0.15, 0.25, 0.45) if quick else SHARPNESS_GRID
+    rows = [r for r in reports if r.sigma < 0.5]
     failures = []
-    for sigma in sigmas:
-        g = GaussianDensity(sigma)
-        dd = deficit_direct(z, g, cfg)
-        l1 = lemma1_upper_bound(g, cfg)
-        if not (dd.converged and l1.converged):
-            failures.append(f"NonConvergence at sigma={sigma}")
+    for r in rows:
+        if not r.converged:
+            failures.append(f"NonConvergence at sigma={r.sigma}")
             continue
-        split = lemma3_near_zero_term(g) + lemma4_far_term(g)
-        t1 = theorem1_upper_bound(sigma)
+        split = r.lemma3 + r.lemma4
         for lo, hi, what in (
-            (dd.nats, l1.nats, "delta <= lemma1"),
-            (l1.nats, split, "lemma1 <= lemma3+lemma4"),
-            (split, t1, "lemma3+lemma4 <= theorem1"),
+            (r.delta, r.lemma1, "delta <= lemma1"),
+            (r.lemma1, split, "lemma1 <= lemma3+lemma4"),
+            (split, r.thm1, "lemma3+lemma4 <= theorem1"),
         ):
             if hi - lo < -1e-10:
                 failures.append(
-                    f"sigma={sigma}: {what} violated ({lo:.9e} vs {hi:.9e})"
+                    f"sigma={r.sigma}: {what} violated ({lo:.9e} vs {hi:.9e})"
                 )
-    return _result("bound_chain", failures, f"chain ordered at {len(sigmas)} sigmas")
+    return _result("bound_chain", failures, f"chain ordered at {len(rows)} sigmas")
 
 
 def check_lattice_sum_bound(quick: bool = False) -> CheckResult:
@@ -216,33 +209,31 @@ def check_lattice_sum_bound(quick: bool = False) -> CheckResult:
     )
 
 
-def check_big_sigma_lower(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
+def check_big_sigma_lower(reports: Sequence[BoundReport]) -> CheckResult:
     """Fair Bernoulli deficit dominates ln2 * Q(1/(2 sigma)) at large sigma."""
-    z = DiscreteLattice.bernoulli(0.5)
-    sigmas = (0.5, 1.0) if quick else BIG_SIGMA_GRID
+    rows = [r for r in reports if r.sigma >= 0.5]
     failures = []
-    ref = big_sigma_lower_bound(1.0)
+    ref = next(r.bigsig_lb for r in rows if r.sigma == 1.0)
     if abs(ref - BIG_SIGMA_LB_AT_1) > 1e-6:
         failures.append(
             f"lower bound at sigma=1 is {ref!r}, expected {BIG_SIGMA_LB_AT_1} +- 1e-6"
         )
     prev = None
-    for sigma in sigmas:
-        lb = big_sigma_lower_bound(sigma)
+    for r in rows:
+        lb = r.bigsig_lb
         if prev is not None and not lb > prev:
-            failures.append(f"bound not increasing at sigma={sigma}")
+            failures.append(f"bound not increasing at sigma={r.sigma}")
         prev = lb
-        dd = deficit_direct(z, GaussianDensity(sigma), cfg)
-        if not dd.converged:
-            failures.append(f"NonConvergence at sigma={sigma}")
-        elif not dd.nats >= lb:
+        if not r.converged:
+            failures.append(f"NonConvergence at sigma={r.sigma}")
+        elif not r.delta >= lb:
             failures.append(
-                f"sigma={sigma}: delta {dd.nats:.9e} >= bound {lb:.9e} fails"
+                f"sigma={r.sigma}: delta {r.delta:.9e} >= bound {lb:.9e} fails"
             )
-    return _result("big_sigma_lower", failures, f"dominates on {len(sigmas)} sigmas")
+    return _result("big_sigma_lower", failures, f"dominates on {len(rows)} sigmas")
 
 
-def check_rate_match(quick: bool = False) -> CheckResult:
+def check_rate_match() -> CheckResult:
     """Upper/lower closed forms share the exponential factor exactly."""
     failures = []
     for sigma in (0.1, 0.25, 0.4):
@@ -281,7 +272,7 @@ def check_landauer(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
     return _result("landauer_envelope", failures, f"{len(sigmas)} noise scales inside")
 
 
-def check_equality_cases(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
+def check_equality_cases(cfg: QuadratureConfig) -> CheckResult:
     """Point-mass Z and narrow uniform base give zero deficit."""
     failures = []
     g = GaussianDensity(0.25)
@@ -297,7 +288,7 @@ def check_equality_cases(cfg: QuadratureConfig, quick: bool = False) -> CheckRes
     hm = mixture_entropy(MixtureDensity(u, z), cfg)
     if abs(hm.nats) > 1e-12:
         failures.append(f"uniform base: h(X+Z) = {hm.nats!r} not 0 within 1e-12")
-    du = deficit_via_identity(z, u, cfg)
+    du = deficit_via_identity(z, u, cfg, hm)
     if abs(du.nats) > 1e-12:
         failures.append(f"uniform base: deficit {du.nats!r} not 0 within 1e-12")
     return _result("equality_cases", failures, "both equality cases exact")
@@ -309,7 +300,7 @@ def check_mc_agreement(
     """Seeded Monte Carlo entropy within 4 standard errors of quadrature."""
     if quick:
         samples = min(samples, 10**5)
-    laws = test_grid_laws()
+    laws = grid_laws()
     sigmas = (0.1, 0.25) if quick else IDENTITY_SIGMA_GRID
     if quick:
         laws = {k: laws[k] for k in ("bernoulli(1/2)", "geometric{0..5}")}
@@ -332,7 +323,7 @@ def check_mc_agreement(
     )
 
 
-def check_tail_inequality(quick: bool = False) -> CheckResult:
+def check_tail_inequality() -> CheckResult:
     """phi(z)(1/z - 1/z^3) never exceeds the true tail on z in [1.01, 10]."""
     g = GaussianDensity(1.0)
     failures = []
@@ -353,17 +344,24 @@ def run_all_checks(
     quick: bool = False,
     mc_samples: int = 10**6,
 ) -> list[CheckResult]:
-    """Run every named check; order is fixed and deterministic."""
+    """Run every named check; order is fixed and deterministic.
+
+    The three fair-Bernoulli bound checks judge one set of sandwich
+    reports, one row per sigma.
+    """
+    fair = DiscreteLattice.bernoulli(0.5)
+    grid = (0.15, 0.25, 0.45, 0.5, 1.0) if quick else SHARPNESS_GRID + BIG_SIGMA_GRID
+    reports = [sandwich_report(fair, sigma, cfg) for sigma in grid]
     steps: list[Callable[[], CheckResult]] = [
         lambda: check_identity(cfg, quick),
-        lambda: check_sharpness_sandwich(cfg, quick),
-        lambda: check_bound_chain(cfg, quick),
+        lambda: check_sharpness_sandwich(reports),
+        lambda: check_bound_chain(reports),
         lambda: check_lattice_sum_bound(quick),
-        lambda: check_big_sigma_lower(cfg, quick),
-        lambda: check_rate_match(quick),
+        lambda: check_big_sigma_lower(reports),
+        lambda: check_rate_match(),
         lambda: check_landauer(cfg, quick),
-        lambda: check_equality_cases(cfg, quick),
+        lambda: check_equality_cases(cfg),
         lambda: check_mc_agreement(cfg, quick, mc_samples),
-        lambda: check_tail_inequality(quick),
+        lambda: check_tail_inequality(),
     ]
     return [step() for step in steps]

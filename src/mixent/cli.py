@@ -204,7 +204,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     docs = []
     for i, sigma in enumerate(_sigma_grid(args)):
-        doc = bounds_mod.sandwich_report(z, float(sigma), cfg).to_json_dict()
+        doc = asdict(bounds_mod.sandwich_report(z, float(sigma), cfg))
         if mc is not None:
             g = GaussianDensity(float(sigma))
             hmc = mc_entropy(MixtureDensity(g, z), replace(mc, seed=mc.seed + i))
@@ -246,7 +246,7 @@ def cmd_landauer(args: argparse.Namespace) -> int:
     report = landauer_mod.reset_report(model, cfg)
     if args.bits:
         report = report.in_bits()
-    doc = report.to_json_dict()
+    doc = asdict(report)
     columns = landauer_mod.CSV_COLUMNS
     unit = "bits" if args.bits else "nats"
     text = [

@@ -60,16 +60,16 @@ class BitMemoryModel:
 
 def rescale_to_unit_lattice(
     model: BitMemoryModel,
-) -> tuple[DiscreteLattice, GaussianDensity, float]:
+) -> tuple[DiscreteLattice, GaussianDensity]:
     """Map well centers ``{-mu, +mu}`` to lattice points ``{0, 1}``.
 
     The affine change ``x -> (x + mu) / (2 mu)`` divides the noise scale by
-    ``2 mu`` and shifts every entropy by ``log_jacobian = ln(2 mu)``, which
-    the caller adds back (``h(aX) = h(X) + ln a``).  ``p1`` 0 or 1 leaves a
-    point mass: the lattice drops the empty well.
+    ``2 mu`` and shifts every differential entropy by ``-ln(2 mu)``
+    (``h(aX) = h(X) + ln a``); the deficit, a difference of entropies, is
+    unchanged.  ``p1`` 0 or 1 leaves a point mass: the lattice drops the
+    empty well.
     """
-    lattice = DiscreteLattice.bernoulli(model.p1)
-    return lattice, GaussianDensity(model.sigma_eff), math.log(2.0 * model.mu)
+    return DiscreteLattice.bernoulli(model.p1), GaussianDensity(model.sigma_eff)
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class ResetReport:
 
     ``h_before`` is assembled through the exact identity
     ``h(mixture) = H(p1) + h(noise) - deficit`` with the deficit from
-    quadrature, so ``delta_h = ideal - deficit_correction`` holds exactly
+    quadrature, so ``delta_h = ideal - deficit`` holds exactly
     and remains meaningful even when the deficit is far below the rounding
     error of the entropies themselves.
     """
@@ -90,31 +90,16 @@ class ResetReport:
     h_after: float
     delta_h: float
     ideal: float
-    deficit_correction: float
-    deficit_error: float
-    thm1_envelope: Optional[float]
+    deficit: float
+    deficit_err: float
+    envelope: Optional[float]
     converged: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "p1": self.p1,
-            "h_before": self.h_before,
-            "h_after": self.h_after,
-            "delta_h": self.delta_h,
-            "ideal": self.ideal,
-            "deficit": self.deficit_correction,
-            "deficit_err": self.deficit_error,
-            "envelope": self.thm1_envelope,
-            "converged": self.converged,
-        }
 
     def in_bits(self) -> "ResetReport":
         """Same report with every entropy converted from nats to bits."""
         scale = 1.0 / _LN2
         nats = ("h_before", "h_after", "delta_h", "ideal",
-                "deficit_correction", "deficit_error", "thm1_envelope")
+                "deficit", "deficit_err", "envelope")
         return replace(self, **{
             f: v * scale for f in nats if (v := getattr(self, f)) is not None
         })
@@ -126,11 +111,11 @@ def reset_report(
     """Entropy before and after the reset, the drop, the ideal ``H(p1)``,
     the deficit correction, and (for ``sigma_eff < 1/2``) the closed-form
     envelope bounding how far the drop can fall short of ideal."""
-    lattice, g_eff, log_jacobian = rescale_to_unit_lattice(model)
+    lattice, g_eff = rescale_to_unit_lattice(model)
     delta = deficit_direct(lattice, g_eff, cfg)
     ideal = discrete_entropy(lattice).nats
     h_after = GaussianDensity(model.sigma).entropy_nats()
-    # h(noise_eff) + log_jacobian == h(noise) == h_after, so the identity
+    # h(noise_eff) + ln(2 mu) == h(noise) == h_after, so the identity
     # route gives h_before with the deficit as the only numeric term.
     h_before = ideal + h_after - delta.nats
     envelope = None
@@ -144,8 +129,8 @@ def reset_report(
         h_after=h_after,
         delta_h=h_before - h_after,
         ideal=ideal,
-        deficit_correction=delta.nats,
-        deficit_error=delta.abs_error,
-        thm1_envelope=envelope,
+        deficit=delta.nats,
+        deficit_err=delta.abs_error,
+        envelope=envelope,
         converged=delta.converged,
     )

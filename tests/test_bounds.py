@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -290,34 +291,34 @@ class TestOrderingChain:
 class TestSandwichReport:
     def test_fair_bernoulli_subcritical(self):
         r = sandwich_report(FAIR, 0.25)
-        assert r.sandwich_ok and r.converged
-        assert r.theorem1_ub is not None
-        assert r.lemma4_term is not None
-        assert r.bernoulli_lb is not None
-        assert r.big_sigma_lb is None
-        assert r.bernoulli_lb <= r.delta_quadrature <= r.theorem1_ub
-        assert json.loads(r.z_descriptor) == FAIR.to_json()
+        assert r.ok and r.converged
+        assert r.thm1 is not None
+        assert r.lemma4 is not None
+        assert r.bern_lb is not None
+        assert r.bigsig_lb is None
+        assert r.bern_lb <= r.delta <= r.thm1
+        assert r.z == FAIR
 
     def test_fair_bernoulli_supercritical(self):
         r = sandwich_report(FAIR, 1.0)
-        assert r.sandwich_ok
-        assert r.theorem1_ub is None
-        assert r.lemma4_term is None
-        assert r.bernoulli_lb is None
-        assert r.big_sigma_lb == pytest.approx(0.21386192506482276, rel=1e-12)
-        assert r.delta_quadrature >= r.big_sigma_lb
+        assert r.ok
+        assert r.thm1 is None
+        assert r.lemma4 is None
+        assert r.bern_lb is None
+        assert r.bigsig_lb == pytest.approx(0.21386192506482276, rel=1e-12)
+        assert r.delta >= r.bigsig_lb
 
     def test_point_mass(self):
         r = sandwich_report(DiscreteLattice.point_mass(0), 0.25)
-        assert abs(r.delta_quadrature) <= 1e-12
-        assert r.sandwich_ok
-        assert r.bernoulli_lb is None  # not a two-atom law
+        assert abs(r.delta) <= 1e-12
+        assert r.ok
+        assert r.bern_lb is None  # not a two-atom law
 
     def test_unfair_bernoulli_gets_no_bernoulli_bound(self):
         r = sandwich_report(DiscreteLattice.bernoulli(0.3), 0.25)
-        assert r.bernoulli_lb is None
-        assert r.big_sigma_lb is None
-        assert r.sandwich_ok
+        assert r.bern_lb is None
+        assert r.bigsig_lb is None
+        assert r.ok
 
     def test_csv_row_layout(self, capsys):
         code = main([
@@ -341,7 +342,7 @@ class TestSandwichReport:
 
     def test_json_dict_round_trips_through_json(self):
         r = sandwich_report(FAIR, 0.25)
-        doc = json.loads(json.dumps(r.to_json_dict()))
+        doc = json.loads(json.dumps(asdict(r)))
         assert doc["ok"] is True
         assert doc["z"] == FAIR.to_json()
         assert doc["bigsig_lb"] is None
@@ -355,8 +356,8 @@ class TestSandwichReport:
         monkeypatch.setattr(bounds_mod, "lemma1_upper_bound", unconverged)
         r = sandwich_report(FAIR, 0.25)
         assert not r.converged
-        assert not r.sandwich_ok
-        assert r.to_json_dict()["converged"] is False
+        assert not r.ok
+        assert r.converged is False
 
     @pytest.mark.parametrize(
         "z, delta",
@@ -370,8 +371,8 @@ class TestSandwichReport:
         monkeypatch.setattr(bounds_mod, "deficit_direct", lambda *args: impossible)
         r = sandwich_report(z, 1.0)
         assert r.converged
-        assert r.lemma1_numeric_ub > 1.0
-        assert not r.sandwich_ok
+        assert r.lemma1 > 1.0
+        assert not r.ok
 
 
 @given(
@@ -382,8 +383,8 @@ def test_small_sigma_sandwich_is_resolved(z, sigma):
     # an ok row rests on a deficit resolved to a relative 1e-8, never on
     # delta - err < 0
     r = sandwich_report(z, sigma)
-    assert r.sandwich_ok and r.converged
-    assert 0.0 < r.delta_error < 1e-8 * r.delta_quadrature
-    if r.bernoulli_lb is not None:
-        assert r.bernoulli_lb <= r.delta_quadrature
-    assert r.delta_quadrature <= r.lemma1_numeric_ub <= r.theorem1_ub
+    assert r.ok and r.converged
+    assert 0.0 < r.delta_err < 1e-8 * r.delta
+    if r.bern_lb is not None:
+        assert r.bern_lb <= r.delta
+    assert r.delta <= r.lemma1 <= r.thm1

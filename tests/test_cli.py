@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -163,7 +164,7 @@ class TestSweepCommand:
         )
         assert code == 0
         row = out.strip().split("\n")[1]
-        doc = sandwich_report(DiscreteLattice.bernoulli(0.5), 0.25).to_json_dict()
+        doc = asdict(sandwich_report(DiscreteLattice.bernoulli(0.5), 0.25))
         assert row == ",".join(_cell(doc[c]) for c in CSV_COLUMNS)
 
     def test_json_format(self, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mixent.checks import test_grid_laws as grid_laws
+from mixent.checks import grid_laws
 from mixent.distributions import (
     DiscreteLattice,
     GaussianDensity,

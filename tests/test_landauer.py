@@ -54,23 +54,21 @@ class TestBinaryEntropy:
 
 class TestRescale:
     def test_unit_spacing(self):
-        lattice, g, logj = rescale_to_unit_lattice(
+        lattice, g = rescale_to_unit_lattice(
             BitMemoryModel(mu=0.5, sigma=0.25, p1=0.5)
         )
         assert lattice.support == (0, 1)
         assert g.sigma == 0.25
-        assert logj == 0.0
 
     def test_affine_scaling(self):
-        lattice, g, logj = rescale_to_unit_lattice(
+        lattice, g = rescale_to_unit_lattice(
             BitMemoryModel(mu=1.0, sigma=0.2, p1=0.5)
         )
         assert g.sigma == pytest.approx(0.1, rel=1e-15)
-        assert logj == pytest.approx(LN2, rel=1e-15)
 
     @pytest.mark.parametrize("p1,atom", [(0.0, 0), (1.0, 1)])
     def test_degenerate_weights_become_point_mass(self, p1, atom):
-        lattice, _, _ = rescale_to_unit_lattice(
+        lattice, _ = rescale_to_unit_lattice(
             BitMemoryModel(mu=0.5, sigma=0.1, p1=p1)
         )
         assert lattice.support == (atom,)
@@ -82,18 +80,18 @@ class TestRescale:
         original = MixtureDensity(
             GaussianDensity(model.sigma), DiscreteLattice((-1, 1), (0.5, 0.5))
         )
-        lattice, g_eff, logj = rescale_to_unit_lattice(model)
+        lattice, g_eff = rescale_to_unit_lattice(model)
         rescaled = MixtureDensity(g_eff, lattice)
         a = mixture_entropy(original)
         b = mixture_entropy(rescaled)
-        assert abs(a.nats - (b.nats + logj)) <= 1e-10
+        assert abs(a.nats - (b.nats + math.log(2.0 * model.mu))) <= 1e-10
 
 
 class TestResetReport:
     def test_near_ideal_drop_at_small_noise(self):
         rr = reset_report(BitMemoryModel(mu=0.5, sigma=0.1, p1=0.5))
         envelope = theorem1_upper_bound(0.1)
-        assert rr.thm1_envelope == pytest.approx(envelope, rel=1e-15)
+        assert rr.envelope == pytest.approx(envelope, rel=1e-15)
         assert LN2 - envelope <= rr.delta_h <= LN2
         assert rr.ideal == pytest.approx(LN2, rel=1e-15)
 
@@ -105,14 +103,14 @@ class TestResetReport:
 
     def test_large_noise_loses_most_of_the_bit(self):
         rr = reset_report(BitMemoryModel(mu=0.5, sigma=1.0, p1=0.5))
-        assert rr.thm1_envelope is None
+        assert rr.envelope is None
         assert rr.delta_h <= LN2 - big_sigma_lower_bound(1.0) + 1e-10
 
     def test_identity_invariants_are_exact(self):
         rr = reset_report(BitMemoryModel(mu=0.7, sigma=0.2, p1=0.3))
         assert rr.delta_h == rr.h_before - rr.h_after
         assert rr.delta_h == pytest.approx(
-            rr.ideal - rr.deficit_correction, abs=1e-15
+            rr.ideal - rr.deficit, abs=1e-15
         )
         assert rr.delta_h <= rr.ideal
 
