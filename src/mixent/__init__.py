@@ -26,6 +26,7 @@ from .entropy import (
     deficit_direct,
     deficit_via_identity,
     discrete_entropy,
+    entropy_report,
     gaussian_entropy,
     mc_entropy,
     mixture_entropy,
@@ -69,6 +70,7 @@ __all__ = [
     "deficit_direct",
     "deficit_via_identity",
     "discrete_entropy",
+    "entropy_report",
     "gaussian_entropy",
     "gaussian_tail_lower",
     "integrate",

@@ -32,7 +32,7 @@ from .entropy import (
     McConfig,
     deficit_direct,
     deficit_via_identity,
-    mc_entropy,
+    entropy_report,
     mixture_entropy,
 )
 from .landauer import BitMemoryModel, reset_report
@@ -86,40 +86,35 @@ def _result(name: str, failures: list[str], summary: str) -> CheckResult:
     return CheckResult(name, True, summary)
 
 
-def check_identity(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
-    """Both deficit routes agree within their combined reported errors."""
-    laws = grid_laws()
-    sigmas = (0.1, 0.25) if quick else IDENTITY_SIGMA_GRID
-    if quick:
-        laws = {k: laws[k] for k in ("bernoulli(1/2)", "uniform{-1,0,1}")}
+def check_identity(rows: Sequence[tuple[str, float, dict]]) -> CheckResult:
+    """Both deficit routes agree within their combined reported errors.
+
+    ``rows`` holds ``(law label, sigma, entropy_report)`` triples."""
     failures = []
     worst = 0.0
-    for label, z in laws.items():
-        for sigma in sigmas:
-            g = GaussianDensity(sigma)
-            dd = deficit_direct(z, g, cfg)
-            di = deficit_via_identity(z, g, cfg)
-            if not (dd.converged and di.converged):
-                failures.append(
-                    f"NonConvergence: quadrature did not converge for {label}, sigma={sigma}"
-                )
-                continue
-            diff = abs(dd.nats - di.nats)
-            budget = dd.abs_error + di.abs_error
-            worst = max(worst, diff)
-            if diff > budget:
-                failures.append(
-                    f"{label}, sigma={sigma}: |direct - identity| = {diff:.3e} "
-                    f"> combined errors {budget:.3e}"
-                )
-            if diff > 1e-8:
-                failures.append(
-                    f"{label}, sigma={sigma}: |direct - identity| = {diff:.3e} > 1e-8"
-                )
-            if dd.nats < -1e-10:
-                failures.append(
-                    f"{label}, sigma={sigma}: deficit {dd.nats:.3e} < -1e-10"
-                )
+    for label, sigma, q in rows:
+        dd, di = q["delta_direct"], q["delta_identity"]
+        if not (dd.converged and di.converged):
+            failures.append(
+                f"NonConvergence: quadrature did not converge for {label}, sigma={sigma}"
+            )
+            continue
+        diff = abs(dd.nats - di.nats)
+        budget = dd.abs_error + di.abs_error
+        worst = max(worst, diff)
+        if diff > budget:
+            failures.append(
+                f"{label}, sigma={sigma}: |direct - identity| = {diff:.3e} "
+                f"> combined errors {budget:.3e}"
+            )
+        if diff > 1e-8:
+            failures.append(
+                f"{label}, sigma={sigma}: |direct - identity| = {diff:.3e} > 1e-8"
+            )
+        if dd.nats < -1e-10:
+            failures.append(
+                f"{label}, sigma={sigma}: deficit {dd.nats:.3e} < -1e-10"
+            )
     return _result(
         "identity", failures, f"worst route disagreement {worst:.3e} over the grid"
     )
@@ -171,12 +166,11 @@ def check_bound_chain(reports: Sequence[BoundReport]) -> CheckResult:
     return _result("bound_chain", failures, f"chain ordered at {len(rows)} sigmas")
 
 
-def check_lattice_sum_bound(quick: bool = False) -> CheckResult:
+def check_lattice_sum_bound() -> CheckResult:
     """sum_m f(eps + m) < 1/sigma over random eps; shift/reflection exact."""
     rng = np.random.default_rng(LEMMA2_SEED)
-    n_eps = 100 if quick else 1000
-    eps_values = rng.uniform(-5.0, 5.0, size=n_eps)
-    sigmas = (0.05, 0.25, 0.5) if quick else tuple(i / 20 for i in range(1, 11))
+    eps_values = rng.uniform(-5.0, 5.0, size=1000)
+    sigmas = tuple(i / 20 for i in range(1, 11))
     failures = []
     for sigma in sigmas:
         g = GaussianDensity(sigma)
@@ -205,7 +199,7 @@ def check_lattice_sum_bound(quick: bool = False) -> CheckResult:
     return _result(
         "lattice_sum_bound",
         failures,
-        f"{len(sigmas)} sigmas x {n_eps} offsets below 1/sigma",
+        f"{len(sigmas)} sigmas x {len(eps_values)} offsets below 1/sigma",
     )
 
 
@@ -248,9 +242,9 @@ def check_rate_match() -> CheckResult:
     return _result("rate_match", failures, "exponential factor cancels to 1e-12")
 
 
-def check_landauer(cfg: QuadratureConfig, quick: bool = False) -> CheckResult:
+def check_landauer(cfg: QuadratureConfig) -> CheckResult:
     """Reset entropy drop within the closed-form envelope of ln 2."""
-    sigmas = (0.1, 0.25) if quick else (0.05, 0.1, 0.25)
+    sigmas = (0.05, 0.1, 0.25)
     failures = []
     env = theorem1_upper_bound(0.1)
     if abs(env - THM1_ENVELOPE_AT_01) > 1e-12 * THM1_ENVELOPE_AT_01:
@@ -295,29 +289,19 @@ def check_equality_cases(cfg: QuadratureConfig) -> CheckResult:
 
 
 def check_mc_agreement(
-    cfg: QuadratureConfig, quick: bool = False, samples: int = 10**6
+    rows: Sequence[tuple[str, float, dict]], samples: int
 ) -> CheckResult:
-    """Seeded Monte Carlo entropy within 4 standard errors of quadrature."""
-    if quick:
-        samples = min(samples, 10**5)
-    laws = grid_laws()
-    sigmas = (0.1, 0.25) if quick else IDENTITY_SIGMA_GRID
-    if quick:
-        laws = {k: laws[k] for k in ("bernoulli(1/2)", "geometric{0..5}")}
+    """Seeded Monte Carlo entropy within 4 standard errors of quadrature, on
+    the ``(law label, sigma, entropy_report)`` rows of ``check_identity``."""
     failures = []
-    seed = MC_SEED_BASE
-    for label, z in laws.items():
-        for sigma in sigmas:
-            m = MixtureDensity(GaussianDensity(sigma), z)
-            hq = mixture_entropy(m, cfg)
-            hmc = mc_entropy(m, McConfig(samples=samples, seed=seed))
-            seed += 1
-            gap = abs(hmc.nats - hq.nats)
-            if gap > 4.0 * hmc.abs_error:
-                failures.append(
-                    f"{label}, sigma={sigma}: |mc - quadrature| = {gap:.3e} "
-                    f"> 4 SE = {4.0 * hmc.abs_error:.3e}"
-                )
+    for label, sigma, q in rows:
+        hq, hmc = q["h_mixture"], q["h_mc"]
+        gap = abs(hmc.nats - hq.nats)
+        if gap > 4.0 * hmc.abs_error:
+            failures.append(
+                f"{label}, sigma={sigma}: |mc - quadrature| = {gap:.3e} "
+                f"> 4 SE = {4.0 * hmc.abs_error:.3e}"
+            )
     return _result(
         "mc_agreement", failures, f"all combinations within 4 SE at N={samples}"
     )
@@ -341,27 +325,34 @@ def check_tail_inequality() -> CheckResult:
 
 def run_all_checks(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    quick: bool = False,
     mc_samples: int = 10**6,
 ) -> list[CheckResult]:
     """Run every named check; order is fixed and deterministic.
 
     The three fair-Bernoulli bound checks judge one set of sandwich
-    reports, one row per sigma.
+    reports, one row per sigma.  The identity and Monte Carlo checks judge
+    one entropy report per (law, sigma) of the grid; pair ``i`` in
+    law-major order draws its samples with seed ``MC_SEED_BASE + i``.
     """
     fair = DiscreteLattice.bernoulli(0.5)
-    grid = (0.15, 0.25, 0.45, 0.5, 1.0) if quick else SHARPNESS_GRID + BIG_SIGMA_GRID
-    reports = [sandwich_report(fair, sigma, cfg) for sigma in grid]
+    reports = [sandwich_report(fair, s, cfg) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
+    laws = grid_laws()
+    pairs = [(label, s) for label in laws for s in IDENTITY_SIGMA_GRID]
+    rows = [
+        (label, s, entropy_report(laws[label], GaussianDensity(s), cfg,
+                                  McConfig(mc_samples, MC_SEED_BASE + i)))
+        for i, (label, s) in enumerate(pairs)
+    ]
     steps: list[Callable[[], CheckResult]] = [
-        lambda: check_identity(cfg, quick),
+        lambda: check_identity(rows),
         lambda: check_sharpness_sandwich(reports),
         lambda: check_bound_chain(reports),
-        lambda: check_lattice_sum_bound(quick),
+        lambda: check_lattice_sum_bound(),
         lambda: check_big_sigma_lower(reports),
         lambda: check_rate_match(),
-        lambda: check_landauer(cfg, quick),
+        lambda: check_landauer(cfg),
         lambda: check_equality_cases(cfg),
-        lambda: check_mc_agreement(cfg, quick, mc_samples),
+        lambda: check_mc_agreement(rows, mc_samples),
         lambda: check_tail_inequality(),
     ]
     return [step() for step in steps]

@@ -28,15 +28,7 @@ from .distributions import (
     GaussianDensity,
     MixtureDensity,
 )
-from .entropy import (
-    McConfig,
-    deficit_direct,
-    deficit_via_identity,
-    discrete_entropy,
-    gaussian_entropy,
-    mc_entropy,
-    mixture_entropy,
-)
+from .entropy import McConfig, deficit_via_identity, entropy_report, mc_entropy
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 EXIT_OK = 0
@@ -152,30 +144,17 @@ def _exit_code(converged: bool, what: str = "quadrature") -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     mc = _mc_settings(args)
     z = _parse_dist(args.dist)
-    g = GaussianDensity(args.sigma)
-    cfg = _quad_config(args)
-    m = MixtureDensity(g, z)
-
-    hm = mixture_entropy(m, cfg)
-    quantities = [
-        ("H_Z", discrete_entropy(z)),
-        ("h_X", gaussian_entropy(g)),
-        ("h_mixture", hm),
-        ("delta_direct", deficit_direct(z, g, cfg)),
-        ("delta_identity", deficit_via_identity(z, g, cfg, hm)),
-    ]
-    if mc is not None:
-        quantities.append(("h_mc", mc_entropy(m, mc)))
-    converged = all(v.converged for _, v in quantities)
+    report = entropy_report(z, GaussianDensity(args.sigma), _quad_config(args), mc)
+    converged = all(v.converged for v in report.values())
 
     doc = {"sigma": args.sigma, "z": z.to_json(), "converged": converged}
-    for name, v in quantities:
+    for name, v in report.items():
         doc[name] = {"nats": v.nats, "abs_error": v.abs_error, "method": v.method.value}
-    rows = [[name, v.nats, v.abs_error, v.method.value] for name, v in quantities]
+    rows = [[name, v.nats, v.abs_error, v.method.value] for name, v in report.items()]
     text = [f"sigma = {_cell(args.sigma)}   Z = {json.dumps(z.to_json())}"]
     text += [
         _labelled(name, 16, v.nats, v.abs_error, f", {v.method.value}")
-        for name, v in quantities
+        for name, v in report.items()
     ]
     _render(args, doc, ("quantity", "nats", "abs_error", "method"), rows, text)
     return _exit_code(converged)
@@ -223,7 +202,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     _mc_config(args.mc_samples, MC_SEED_BASE)
     cfg = _quad_config(args)
-    results = run_all_checks(cfg, quick=args.quick, mc_samples=args.mc_samples)
+    results = run_all_checks(cfg, mc_samples=args.mc_samples)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -337,13 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the full self-validation suite (exit 0 iff all pass)",
     )
     p_validate.add_argument(
-        "--quick", action="store_true",
-        help="reduced grids and Monte Carlo size",
-    )
-    p_validate.add_argument(
         "--mc-samples", type=int, default=10**6, metavar="N",
-        help="Monte Carlo sample count of the MC agreement check "
-             "(capped at 10^5 by --quick; default 10^6)",
+        help="Monte Carlo sample count of the MC agreement check (default 10^6)",
     )
     p_validate.set_defaults(func=cmd_validate)
 

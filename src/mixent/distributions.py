@@ -28,6 +28,17 @@ class DistributionError(ValueError):
     """A distribution parameter violates one of its construction invariants."""
 
 
+def _lattice_int(x, what: str) -> int:
+    """``x`` as an int, if it is an integer within +-2**53: beyond that
+    doubles no longer hold every integer, so an entry would silently move."""
+    exact = x if isinstance(x, (int, np.integer)) else float(x)
+    if isinstance(exact, float) and not exact.is_integer():
+        raise DistributionError(f"{what} {x!r} is not an integer")
+    if abs(exact) > 2**53:
+        raise DistributionError(f"{what} {x!r} is beyond +-2**53")
+    return int(exact)
+
+
 @dataclass(frozen=True)
 class DiscreteLattice:
     """Probability mass function on integer lattice points.
@@ -53,12 +64,7 @@ class DiscreteLattice:
             )
         if not support:
             raise DistributionError("support must not be empty")
-        cleaned = []
-        for k in support:
-            kf = float(k)
-            if not kf.is_integer():
-                raise DistributionError(f"support entry {k!r} is not an integer")
-            cleaned.append(int(kf))
+        cleaned = [_lattice_int(k, "support entry") for k in support]
         for p in probs:
             if not (0.0 <= p <= 1.0):
                 raise DistributionError(f"probability {p!r} is outside [0, 1]")
@@ -105,6 +111,7 @@ class DiscreteLattice:
     @classmethod
     def uniform_support(cls, n: int) -> "DiscreteLattice":
         """Uniform law on {0, 1, ..., n-1}."""
+        n = _lattice_int(n, "uniform_support size")
         if n < 1:
             raise DistributionError(f"uniform_support size must be >= 1 (got {n})")
         return cls(tuple(range(n)), (1.0 / n,) * n)
@@ -127,7 +134,7 @@ class DiscreteLattice:
         if "bernoulli" in doc:
             return cls.bernoulli(float(doc["bernoulli"]))
         if "uniform_support" in doc:
-            return cls.uniform_support(int(doc["uniform_support"]))
+            return cls.uniform_support(doc["uniform_support"])
         if "support" in doc and "probs" in doc:
             return cls(tuple(doc["support"]), tuple(doc["probs"]))
         raise DistributionError(

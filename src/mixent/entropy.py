@@ -13,7 +13,8 @@ deficit integrand peaks at size ``exp(-d^2 / (8 sigma^2))``, ``d`` the
 smallest gap between atoms, and is integrated scaled by the inverse of that
 factor, so the absolute tolerance acts as a relative one.  Lemma 1 is the
 same deficit quadrature on one cell.  The two routes check each other, and a
-seeded Monte Carlo estimator is a third.
+seeded Monte Carlo estimator is a third; ``entropy_report`` gathers all of
+them for one law and base from one mixture-entropy quadrature.
 """
 
 from __future__ import annotations
@@ -227,3 +228,26 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
     nats = -float(np.mean(ld))
     se = float(np.std(ld, ddof=1) / math.sqrt(cfg.samples))
     return EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)
+
+
+def entropy_report(
+    z: DiscreteLattice,
+    base: BaseDensity,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    mc: Optional[McConfig] = None,
+) -> dict[str, EntropyValue]:
+    """The quantities ``mixent entropy`` prints, by name in print order:
+    ``H_Z``, ``h_X``, ``h_mixture``, ``delta_direct``, ``delta_identity``
+    (from that one ``h_mixture``) and, with ``mc``, ``h_mc``."""
+    m = MixtureDensity(base, z)
+    hm = mixture_entropy(m, cfg)
+    report = {
+        "H_Z": discrete_entropy(z),
+        "h_X": gaussian_entropy(base),
+        "h_mixture": hm,
+        "delta_direct": deficit_direct(z, base, cfg),
+        "delta_identity": deficit_via_identity(z, base, cfg, hm),
+    }
+    if mc is not None:
+        report["h_mc"] = mc_entropy(m, mc)
+    return report

@@ -46,7 +46,7 @@ CRITERIA = [
 
 @pytest.fixture(scope="session")
 def suite() -> dict[str, CheckResult]:
-    results = run_all_checks(quick=False, mc_samples=10**6)
+    results = run_all_checks(mc_samples=10**6)
     return {r.name: r for r in results}
 
 

@@ -1,13 +1,14 @@
 """The validate checks report a broken inequality as a failure, quoting it,
-and the fair-Bernoulli bound checks share one deficit per sigma."""
+the fair-Bernoulli bound checks share one deficit per sigma, and the
+identity and Monte Carlo checks share one mixture entropy per law and sigma."""
 
 import pytest
 
 import mixent.bounds as bounds
 import mixent.checks as checks
-from mixent.distributions import DiscreteLattice
+import mixent.entropy as entropy
+from mixent.distributions import DiscreteLattice, GaussianDensity
 from mixent.entropy import EntropyMethod, EntropyValue
-from mixent.numerics import DEFAULT_QUADRATURE
 
 FAIR = DiscreteLattice.bernoulli(0.5)
 
@@ -19,12 +20,20 @@ def _judge_reports(check):
     )
 
 
+def _judge_entropy_rows(check):
+    """Run ``check`` on fair Bernoulli entropy reports built now, after patching."""
+    return lambda: check(
+        [("fair", s, entropy.entropy_report(FAIR, GaussianDensity(s)))
+         for s in (0.1, 0.25)]
+    )
+
+
 @pytest.mark.parametrize(
     "module, run, delta, quoted",
     [
         # far from the identity route, which does not call deficit_direct
-        (checks, lambda: checks.check_identity(DEFAULT_QUADRATURE, quick=True),
-         10.0, "> combined errors"),
+        (entropy, _judge_entropy_rows(checks.check_identity), 10.0,
+         "> combined errors"),
         # above Theorem 1 at every sigma of the grid
         (bounds, _judge_reports(checks.check_sharpness_sandwich), 10.0, "<= upper"),
         (bounds, _judge_reports(checks.check_bound_chain), 10.0,
@@ -44,8 +53,8 @@ def test_impossible_deficit_fails_the_check(monkeypatch, module, run, delta, quo
 
 def test_fair_bernoulli_deficits_are_computed_once(monkeypatch):
     # the sandwich reports evaluate each sigma of the bound checks once; the
-    # identity check evaluates its own grid; nothing else in checks does
-    sigmas = {bounds: [], checks: []}
+    # entropy reports evaluate the identity grid once; checks itself does not
+    sigmas = {bounds: [], entropy: [], checks: []}
     for module, seen in sigmas.items():
         def counting(z, g, *args, _seen=seen, _real=module.deficit_direct):
             if z == FAIR:
@@ -53,8 +62,21 @@ def test_fair_bernoulli_deficits_are_computed_once(monkeypatch):
             return _real(z, g, *args)
 
         monkeypatch.setattr(module, "deficit_direct", counting)
+    # every mixture entropy, by law and base, at each binding that runs one
+    mixtures = []
+    for module in (entropy, checks):
+        def integrating(m, *args, _real=module.mixture_entropy):
+            mixtures.append((m.lattice, m.base))
+            return _real(m, *args)
+
+        monkeypatch.setattr(module, "mixture_entropy", integrating)
     checks.run_all_checks(mc_samples=2)
     assert sorted(sigmas[bounds]) == sorted(
         checks.SHARPNESS_GRID + checks.BIG_SIGMA_GRID
     )
-    assert sorted(sigmas[checks]) == sorted(checks.IDENTITY_SIGMA_GRID)
+    assert sorted(sigmas[entropy]) == sorted(checks.IDENTITY_SIGMA_GRID)
+    assert sigmas[checks] == []
+    grid = {(z, GaussianDensity(s)) for z in checks.grid_laws().values()
+            for s in checks.IDENTITY_SIGMA_GRID}
+    assert grid <= set(mixtures)
+    assert len(mixtures) == len(set(mixtures))

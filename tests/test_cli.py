@@ -231,10 +231,8 @@ class TestSweepCommand:
 
 
 class TestValidateCommand:
-    def test_quick_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "validate", "--quick", "--mc-samples", "20000",
-        )
+    def test_every_check_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--mc-samples", "20000")
         assert code == 0
         lines = out.strip().split("\n")
         named_checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
@@ -244,7 +242,7 @@ class TestValidateCommand:
 
     def test_impossible_tolerance_fails_with_nonconvergence(self, capsys):
         code, out, _ = run_cli(
-            capsys, "validate", "--quick", "--mc-samples", "2000",
+            capsys, "validate", "--mc-samples", "2000",
             "--quad-abs-tol", "1e-30", "--quad-rel-tol", "1e-30",
         )
         assert code == 1
@@ -253,7 +251,7 @@ class TestValidateCommand:
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
-            capsys, "validate", "--quick", "--mc-samples", "2000", "--format", "json",
+            capsys, "validate", "--mc-samples", "2000", "--format", "json",
         )
         assert code == 0
         docs = json.loads(out)
@@ -263,7 +261,7 @@ class TestValidateCommand:
 
     def test_csv_failure_details_stay_in_one_cell(self, capsys):
         code, out, _ = run_cli(
-            capsys, "validate", "--quick", "--mc-samples", "2000", "--format", "csv",
+            capsys, "validate", "--mc-samples", "2000", "--format", "csv",
             "--quad-abs-tol", "1e-30", "--quad-rel-tol", "1e-30",
         )
         assert code == 1
@@ -335,8 +333,9 @@ class TestLandauerCommand:
         ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5", "--seed", "9"],
         ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5", "--mc-samples", "10"],
         ["validate", "--seed", "1"],
+        ["validate", "--quick"],
     ],
-    ids=["landauer_seed", "landauer_mc_samples", "validate_seed"],
+    ids=["landauer_seed", "landauer_mc_samples", "validate_seed", "validate_quick"],
 )
 def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -365,7 +364,7 @@ def test_unread_or_negative_mc_flags_exit_2(capsys, command, mc_flags, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["validate", "--quick"],
+        ["validate"],
         ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON],
         ["sweep", "--sigma-start", "0.25", "--sigma-end", "1", "--steps", "2",
          "--dist", FAIR_JSON],

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -49,6 +50,12 @@ class TestDiscreteLattice:
         with pytest.raises(DistributionError, match="not an integer"):
             DiscreteLattice((0, 1.5), (0.5, 0.5))
 
+    @pytest.mark.parametrize("k", [2**53 + 1, -(2**53) - 1, 1e20])
+    def test_rejects_support_beyond_2_53(self, k):
+        # a double cannot hold every integer there: 2**53 + 1 would become 2**53
+        with pytest.raises(DistributionError, match=re.escape(f"{k!r} is beyond")):
+            DiscreteLattice((0, k), (0.5, 0.5))
+
     def test_rejects_empty(self):
         with pytest.raises(DistributionError):
             DiscreteLattice((), ())
@@ -84,7 +91,11 @@ class TestDiscreteLattice:
     def test_from_json_shorthands(self, doc, expected):
         assert DiscreteLattice.from_json(doc) == expected
 
-    @pytest.mark.parametrize("doc", ["not json", "[1,2]", "{}"])
+    @pytest.mark.parametrize(
+        "doc",
+        ["not json", "[1,2]", "{}", '{"uniform_support":2.5}',
+         '{"support":[0,1e20],"probs":[0.5,0.5]}'],
+    )
     def test_from_json_rejects_garbage(self, doc):
         with pytest.raises(DistributionError):
             DiscreteLattice.from_json(doc)
