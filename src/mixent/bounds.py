@@ -25,7 +25,6 @@ import numpy as np
 
 from .distributions import DiscreteLattice, GaussianDensity, tail_mass
 from .entropy import (
-    WINDOW_SIGMAS,
     EntropyValue,
     _deficit_quadrature,
     deficit_direct,
@@ -56,9 +55,9 @@ def lemma1_upper_bound(
 
     folded onto one period (``y = u + n``, ``|u| <= 1/2``): the direct-route
     deficit quadrature on the one cell ``n = 0`` with unit-weight atoms
-    ``-M..M``, ``M = ceil(1/2 + 40 sigma)``.
+    ``-M..M``, ``M = ceil(1/2 + g.half_width)``.
     """
-    m = math.ceil(0.5 + WINDOW_SIGMAS * g.sigma)
+    m = math.ceil(0.5 + g.half_width)
     atoms = np.arange(-m, m + 1)
     cell = np.zeros(1, int)
     return _deficit_quadrature(atoms, np.zeros(atoms.size), g, cfg, cell)

@@ -24,7 +24,6 @@ from . import landauer as landauer_mod
 from .checks import MC_SEED_BASE, run_all_checks
 from .distributions import (
     DiscreteLattice,
-    DistributionError,
     GaussianDensity,
     MixtureDensity,
 )
@@ -342,8 +341,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DistributionError, ValueError, OSError) as exc:
-        # ValueError covers config validation (seed, samples, tolerances),
+    except (CliError, ValueError, OSError) as exc:
+        # ValueError covers bad laws and configs (seed, samples, tolerances),
         # OSError an unreadable --dist or unwritable --output: usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,15 +24,25 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # anything closer is silently renormalized (tolerates decimal literals).
 PROB_SUM_TOL = 1e-12
 
+# Lattice sums and quadratures reach this many sigmas out: exp(-800) underflows.
+WINDOW_SIGMAS = 40.0
+
 
 class DistributionError(ValueError):
     """A distribution parameter violates one of its construction invariants."""
 
 
+def _real(x, what: str):
+    """``x``, if it is a number: not a bool, a string or None (JSON ``null``)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise DistributionError(f"{what} {x!r} is not a number")
+    return x
+
+
 def _lattice_int(x, what: str) -> int:
     """``x`` as an int, if it is an integer within +-2**53: beyond that
     doubles no longer hold every integer, so an entry would silently move."""
-    exact = x if isinstance(x, (int, np.integer)) else float(x)
+    exact = x if isinstance(_real(x, what), (int, np.integer)) else float(x)
     if isinstance(exact, float) and not exact.is_integer():
         raise DistributionError(f"{what} {x!r} is not an integer")
     if abs(exact) > 2**53:
@@ -57,7 +68,7 @@ class DiscreteLattice:
 
     def __post_init__(self) -> None:
         support = list(self.support)
-        probs = [float(p) for p in self.probs]
+        probs = [float(_real(p, "probability")) for p in self.probs]
         if len(support) != len(probs):
             raise DistributionError(
                 f"support has {len(support)} entries but probs has {len(probs)}"
@@ -104,9 +115,7 @@ class DiscreteLattice:
     @classmethod
     def bernoulli(cls, p: float) -> "DiscreteLattice":
         """Law with P(Z=1) = p, P(Z=0) = 1 - p."""
-        if not (0.0 <= p <= 1.0):
-            raise DistributionError(f"bernoulli parameter {p!r} is outside [0, 1]")
-        return cls((0, 1), (1.0 - p, p))
+        return cls((1, 0), (p, 1.0 - p))
 
     @classmethod
     def uniform_support(cls, n: int) -> "DiscreteLattice":
@@ -132,10 +141,12 @@ class DiscreteLattice:
         if not isinstance(doc, dict):
             raise DistributionError("distribution JSON must be an object")
         if "bernoulli" in doc:
-            return cls.bernoulli(float(doc["bernoulli"]))
+            return cls.bernoulli(_real(doc["bernoulli"], "bernoulli"))
         if "uniform_support" in doc:
             return cls.uniform_support(doc["uniform_support"])
         if "support" in doc and "probs" in doc:
+            if not all(isinstance(doc[k], list) for k in ("support", "probs")):
+                raise DistributionError('"support" and "probs" must be JSON arrays')
             return cls(tuple(doc["support"]), tuple(doc["probs"]))
         raise DistributionError(
             'distribution JSON needs "support"/"probs", "bernoulli", or "uniform_support"'
@@ -156,6 +167,10 @@ class GaussianDensity:
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise DistributionError(f"sigma must be a positive finite real (got {sigma!r})")
         object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def half_width(self) -> float:
+        return WINDOW_SIGMAS * self.sigma
 
     def log_pdf(self, x):
         u = np.asarray(x, dtype=float) / self.sigma

@@ -37,10 +37,6 @@ from .distributions import (
 )
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 
-# Gaussian mass truncated beyond this many sigmas from an atom is below
-# exp(-800), far under every tolerance in use.
-WINDOW_SIGMAS = 40.0
-
 
 class EntropyMethod(enum.Enum):
     CLOSED_FORM = "closed_form"
@@ -92,12 +88,11 @@ def gaussian_entropy(g: BaseDensity) -> EntropyValue:
 def _integrate_folded(body, support, log_probs, base, cfg, cells=None):
     """``int_{-1/2}^{1/2} body(t(u)) du`` with ``t(u)`` the C x w matrix of
     ``ln p_k + ln f(u + n - k)``: one row per cell ``n`` (default: every
-    integer within ``r = ceil(1/2 + 40 sigma)`` of an atom, ``ceil(w + 1/2)``
-    for a uniform base), over the atoms within ``r`` of it, padded with
+    integer within ``r = ceil(1/2 + w)`` of an atom, ``w`` the base's
+    ``half_width``), over the atoms within ``r`` of it, padded with
     log-weight -inf.  Farther components are below ``exp(-800)`` of their
     peak or zero; ``n - k`` is exact, so far atoms lose no digits."""
-    uniform = isinstance(base, UniformDensity)
-    w = base.half_width if uniform else WINDOW_SIGMAS * base.sigma
+    w = base.half_width
     r = math.ceil(w + 0.5)
     ks = np.asarray(support, dtype=np.int64)
     if cells is None:
@@ -112,7 +107,7 @@ def _integrate_folded(body, support, log_probs, base, cfg, cells=None):
     # every Gaussian peak sits at u = 0; a narrow one (w < 1/2) is also
     # fenced in at +-w, or it falls between the Kronrod nodes next to 0; a
     # uniform base jumps at +-w mod 1
-    edges = uniform or w < 0.5
+    edges = isinstance(base, UniformDensity) or w < 0.5
     points = [0.0] + ([(w + 0.5) % 1.0 - 0.5, (0.5 - w) % 1.0 - 0.5] if edges else [])
     # log(0) of an empty "others" sum is meant (ln(1 + 0) = 0); the inf/nan
     # terms of padding and of a uniform base's zero components are masked

@@ -38,7 +38,8 @@ CSV_COLUMNS = (
 @dataclass(frozen=True)
 class BitMemoryModel:
     """Double-well bit: well centers at ``+-mu``, in-well deviation ``sigma``,
-    probability ``p1`` of logic state one."""
+    probability ``p1`` of logic state one; ``sigma`` and ``p1`` are checked
+    by the unit-lattice noise and law they map to."""
 
     mu: float
     sigma: float
@@ -47,10 +48,11 @@ class BitMemoryModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and self.mu > 0.0):
             raise DistributionError(f"mu must be positive (got {self.mu!r})")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DistributionError(f"sigma must be positive (got {self.sigma!r})")
-        if not (0.0 <= self.p1 <= 1.0):
-            raise DistributionError(f"p1 must lie in [0, 1] (got {self.p1!r})")
+        try:
+            rescale_to_unit_lattice(self)
+        except DistributionError as exc:
+            fields = f"mu {self.mu!r}, sigma {self.sigma!r}, p1 {self.p1!r}"
+            raise DistributionError(f"{fields}: {exc}") from exc
 
     @property
     def sigma_eff(self) -> float:

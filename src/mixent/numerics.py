@@ -1,5 +1,5 @@
-"""Numerical kernels: adaptive quadrature, truncated lattice Gaussian sums,
-and Gaussian tail estimates.
+"""Numerical kernels: adaptive quadrature, lattice Gaussian sums, and
+Gaussian tail estimates.
 
 Quadrature is delegated to QUADPACK (``scipy.integrate.quad``): a globally
 adaptive embedded Gauss-Kronrod rule with the termination criterion
@@ -21,11 +21,6 @@ from .distributions import GaussianDensity
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
-
-# Lattice series stop when the next term falls below this fraction of the
-# running sum (scale-free; terms decay at least geometrically).
-SERIES_TRUNCATION = 1e-18
-_MIN_SERIES_TERMS = 3
 
 # QUADPACK's subdivision budget; exhausting it flags a result unconverged.
 _MAX_SUBDIVISIONS = 2000
@@ -104,22 +99,18 @@ def lattice_sum(g: GaussianDensity, epsilon: float) -> float:
     """``sum_{m in Z} f(epsilon + m)`` for the density of ``g``.
 
     ``epsilon`` is first reduced modulo 1 to ``[-1/2, 1/2]`` (the sum is
-    shift invariant), then symmetric term pairs are accumulated outward until
-    the next pair is negligible relative to the running sum.
+    shift invariant), then symmetric term pairs are accumulated outward over
+    ``m = 1 .. ceil(1/2 + g.half_width)``, the quadratures' reach: every
+    farther term underflows to 0.
     """
     sigma = g.sigma
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
     eps = float(epsilon) - round(float(epsilon))
     total = math.exp(-(eps * eps) * inv2s2)
-    m = 1
-    while True:
+    for m in range(1, math.ceil(0.5 + g.half_width) + 1):
         up = eps + m
         dn = eps - m
-        t = math.exp(-(up * up) * inv2s2) + math.exp(-(dn * dn) * inv2s2)
-        total += t
-        if m >= _MIN_SERIES_TERMS and t <= SERIES_TRUNCATION * total:
-            break
-        m += 1
+        total += math.exp(-(up * up) * inv2s2) + math.exp(-(dn * dn) * inv2s2)
     return total / (_SQRT_2PI * sigma)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from mixent.bounds import CSV_COLUMNS, sandwich_report
@@ -167,16 +168,22 @@ class TestSweepCommand:
         doc = asdict(sandwich_report(DiscreteLattice.bernoulli(0.5), 0.25))
         assert row == ",".join(_cell(doc[c]) for c in CSV_COLUMNS)
 
-    def test_json_format(self, capsys):
+    @pytest.mark.parametrize(
+        "spacing, grid",
+        [("log", np.geomspace(0.2, 0.4, 3)), ("linear", np.linspace(0.2, 0.4, 3))],
+        ids=["log", "linear"],
+    )
+    def test_json_format(self, capsys, spacing, grid):
         code, out, _ = run_cli(
             capsys, "sweep", "--sigma-start", "0.2", "--sigma-end", "0.4",
-            "--steps", "3", "--dist", FAIR_JSON, "--format", "json",
+            "--steps", "3", "--spacing", spacing, "--dist", FAIR_JSON,
+            "--format", "json",
         )
         assert code == 0
         docs = json.loads(out)
         assert len(docs) == 3
         assert all(doc["ok"] for doc in docs)
-        assert docs[0]["sigma"] == pytest.approx(0.2)
+        assert [doc["sigma"] for doc in docs] == grid.tolist()
 
     def test_mc_columns_appended(self, capsys):
         code, out, _ = run_cli(

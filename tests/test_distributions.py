@@ -94,7 +94,13 @@ class TestDiscreteLattice:
     @pytest.mark.parametrize(
         "doc",
         ["not json", "[1,2]", "{}", '{"uniform_support":2.5}',
-         '{"support":[0,1e20],"probs":[0.5,0.5]}'],
+         '{"support":[0,1e20],"probs":[0.5,0.5]}',
+         # only JSON numbers are entries, and support/probs are arrays
+         '{"bernoulli":null}', '{"support":[0,null],"probs":[0.5,0.5]}',
+         '{"uniform_support":null}', '{"support":5,"probs":1}',
+         '{"support":"10","probs":[0.5,0.5]}', '{"bernoulli":"0.3"}',
+         '{"bernoulli":true}', '{"support":[false,true],"probs":[0.5,0.5]}',
+         '{"uniform_support":"3"}', '{"support":[0,1],"probs":["0.5",0.5]}'],
     )
     def test_from_json_rejects_garbage(self, doc):
         with pytest.raises(DistributionError):

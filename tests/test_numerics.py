@@ -93,6 +93,13 @@ class TestLatticeSum:
             (0.5, 0.5, 0.9856162386389233),
             (0.1, 0.0, 3.989422804014327),
             (0.5, 0.3, 0.9955551673142677),
+            # the narrowest and widest reaches, against a 30-digit mpmath sum
+            # over |m| <= 400 that shares no code with lattice_sum
+            (0.05, 0.3, 1.2151765699646612e-07),
+            (0.05, 0.5, 3.0778394506825847e-21),
+            (1.0, 0.3, 0.999999998346581),
+            (3.0, 0.3, 1.0),
+            (8.0, 0.3, 1.0),
         ],
     )
     def test_frozen_values(self, sigma, eps, expected):
