@@ -40,7 +40,6 @@ from .landauer import (
 from .numerics import (
     DomainError,
     InvalidInterval,
-    QuadratureConfig,
     QuadratureResult,
     gaussian_tail_lower,
     integrate,
@@ -61,7 +60,6 @@ __all__ = [
     "InvalidInterval",
     "McConfig",
     "MixtureDensity",
-    "QuadratureConfig",
     "QuadratureResult",
     "ResetReport",
     "UniformDensity",

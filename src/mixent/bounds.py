@@ -30,13 +30,7 @@ from .entropy import (
     deficit_direct,
     discrete_entropy,
 )
-from .numerics import (
-    _LN2,
-    _SQRT_2PI,
-    DEFAULT_QUADRATURE,
-    DomainError,
-    QuadratureConfig,
-)
+from .numerics import _LN2, _SQRT_2PI, DomainError
 
 
 def _require_subcritical(sigma: float, what: str) -> float:
@@ -46,9 +40,7 @@ def _require_subcritical(sigma: float, what: str) -> float:
     return sigma
 
 
-def lemma1_upper_bound(
-    g: GaussianDensity, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> EntropyValue:
+def lemma1_upper_bound(g: GaussianDensity) -> EntropyValue:
     """Numeric value of the Z-independent deficit bound
 
         L = int f(y) ln(1 + sum_{m != 0} f(y+m) / f(y)) dy,
@@ -60,7 +52,7 @@ def lemma1_upper_bound(
     m = math.ceil(0.5 + g.half_width)
     atoms = np.arange(-m, m + 1)
     cell = np.zeros(1, int)
-    return _deficit_quadrature(atoms, np.zeros(atoms.size), g, cfg, cell)
+    return _deficit_quadrature(atoms, np.zeros(atoms.size), g, cell)
 
 
 def lemma3_near_zero_term(g: GaussianDensity) -> float:
@@ -146,11 +138,7 @@ class BoundReport:
     converged: bool = True
 
 
-def sandwich_report(
-    z: DiscreteLattice,
-    sigma: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> BoundReport:
+def sandwich_report(z: DiscreteLattice, sigma: float) -> BoundReport:
     """Compute the deficit and every bound applicable to ``(Z, sigma)``.
 
     The Bernoulli-specific lower bounds require an exact structural match
@@ -158,8 +146,8 @@ def sandwich_report(
     below ``sigma = 1/2``, ``bigsig_lb`` at and above it.
     """
     g = GaussianDensity(sigma)
-    delta: EntropyValue = deficit_direct(z, g, cfg)
-    lemma1 = lemma1_upper_bound(g, cfg)
+    delta: EntropyValue = deficit_direct(z, g)
+    lemma1 = lemma1_upper_bound(g)
     lemma3 = lemma3_near_zero_term(g)
     subcritical = 0.0 < sigma < 0.5
     lemma4 = lemma4_far_term(g) if subcritical else None

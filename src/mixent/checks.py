@@ -36,13 +36,7 @@ from .entropy import (
     mixture_entropy,
 )
 from .landauer import BitMemoryModel, reset_report
-from .numerics import (
-    _LN2,
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    gaussian_tail_lower,
-    lattice_sum,
-)
+from .numerics import _LN2, gaussian_tail_lower, lattice_sum
 
 
 # Frozen reference values, evaluated from the closed forms at high precision.
@@ -242,47 +236,49 @@ def check_rate_match() -> CheckResult:
     return _result("rate_match", failures, "exponential factor cancels to 1e-12")
 
 
-def check_landauer(cfg: QuadratureConfig) -> CheckResult:
-    """Reset entropy drop within the closed-form envelope of ln 2."""
+def check_landauer() -> CheckResult:
+    """Reset entropy drop within the report's closed-form envelope of ln 2."""
     sigmas = (0.05, 0.1, 0.25)
     failures = []
-    env = theorem1_upper_bound(0.1)
-    if abs(env - THM1_ENVELOPE_AT_01) > 1e-12 * THM1_ENVELOPE_AT_01:
-        failures.append(
-            f"envelope at sigma_eff=0.1 is {env!r}, expected {THM1_ENVELOPE_AT_01!r}"
-        )
     for sigma_eff in sigmas:
-        rr = reset_report(BitMemoryModel(mu=0.5, sigma=sigma_eff, p1=0.5), cfg)
+        rr = reset_report(BitMemoryModel(mu=0.5, sigma=sigma_eff, p1=0.5))
+        env = rr.envelope
+        if sigma_eff == 0.1 and (
+            abs(env - THM1_ENVELOPE_AT_01) > 1e-12 * THM1_ENVELOPE_AT_01
+        ):
+            failures.append(
+                f"envelope at sigma_eff=0.1 is {env!r}, "
+                f"expected {THM1_ENVELOPE_AT_01!r}"
+            )
         if not rr.converged:
             failures.append(f"NonConvergence at sigma_eff={sigma_eff}")
             continue
         gap = abs(rr.delta_h - _LN2)
-        envelope = theorem1_upper_bound(sigma_eff)
-        if gap > envelope:
+        if gap > env:
             failures.append(
                 f"sigma_eff={sigma_eff}: |delta_h - ln2| = {gap:.3e} "
-                f"> envelope {envelope:.3e}"
+                f"> envelope {env:.3e}"
             )
     return _result("landauer_envelope", failures, f"{len(sigmas)} noise scales inside")
 
 
-def check_equality_cases(cfg: QuadratureConfig) -> CheckResult:
+def check_equality_cases() -> CheckResult:
     """Point-mass Z and narrow uniform base give zero deficit."""
     failures = []
     g = GaussianDensity(0.25)
     point = DiscreteLattice.point_mass(0)
-    dd = deficit_direct(point, g, cfg)
+    dd = deficit_direct(point, g)
     if abs(dd.nats) > 1e-12:
         failures.append(f"point mass: direct deficit {dd.nats!r} not 0 within 1e-12")
-    di = deficit_via_identity(point, g, cfg)
+    di = deficit_via_identity(point, g)
     if abs(di.nats) > 1e-10:
         failures.append(f"point mass: identity deficit {di.nats!r} not 0 within 1e-10")
     z = DiscreteLattice.bernoulli(0.5)
     u = UniformDensity(0.25)
-    hm = mixture_entropy(MixtureDensity(u, z), cfg)
+    hm = mixture_entropy(MixtureDensity(u, z))
     if abs(hm.nats) > 1e-12:
         failures.append(f"uniform base: h(X+Z) = {hm.nats!r} not 0 within 1e-12")
-    du = deficit_via_identity(z, u, cfg, hm)
+    du = deficit_via_identity(z, u, hm)
     if abs(du.nats) > 1e-12:
         failures.append(f"uniform base: deficit {du.nats!r} not 0 within 1e-12")
     return _result("equality_cases", failures, "both equality cases exact")
@@ -323,10 +319,7 @@ def check_tail_inequality() -> CheckResult:
     )
 
 
-def run_all_checks(
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    mc_samples: int = 10**6,
-) -> list[CheckResult]:
+def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
     """Run every named check; order is fixed and deterministic.
 
     The three fair-Bernoulli bound checks judge one set of sandwich
@@ -335,11 +328,11 @@ def run_all_checks(
     law-major order draws its samples with seed ``MC_SEED_BASE + i``.
     """
     fair = DiscreteLattice.bernoulli(0.5)
-    reports = [sandwich_report(fair, s, cfg) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
+    reports = [sandwich_report(fair, s) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
     laws = grid_laws()
     pairs = [(label, s) for label in laws for s in IDENTITY_SIGMA_GRID]
     rows = [
-        (label, s, entropy_report(laws[label], GaussianDensity(s), cfg,
+        (label, s, entropy_report(laws[label], GaussianDensity(s),
                                   McConfig(mc_samples, MC_SEED_BASE + i)))
         for i, (label, s) in enumerate(pairs)
     ]
@@ -350,8 +343,8 @@ def run_all_checks(
         check_lattice_sum_bound(),
         check_big_sigma_lower(reports),
         check_rate_match(),
-        check_landauer(cfg),
-        check_equality_cases(cfg),
+        check_landauer(),
+        check_equality_cases(),
         check_mc_agreement(rows, mc_samples),
         check_tail_inequality(),
     ]

@@ -28,7 +28,6 @@ from .distributions import (
     MixtureDensity,
 )
 from .entropy import McConfig, deficit_via_identity, entropy_report, mc_entropy
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,10 +44,6 @@ _SWEEP_COLUMNS_HELP = (
 
 class CliError(Exception):
     """Invalid arguments or inputs; maps to exit code 2."""
-
-
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.quad_abs_tol, rel_tol=args.quad_rel_tol)
 
 
 def _mc_config(samples: int, seed: int) -> McConfig:
@@ -143,7 +138,7 @@ def _exit_code(converged: bool, what: str = "quadrature") -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     mc = _mc_settings(args)
     z = _parse_dist(args.dist)
-    report = entropy_report(z, GaussianDensity(args.sigma), _quad_config(args), mc)
+    report = entropy_report(z, GaussianDensity(args.sigma), mc)
     converged = all(v.converged for v in report.values())
 
     doc = {"sigma": args.sigma, "z": z.to_json(), "converged": converged}
@@ -178,15 +173,14 @@ def _sigma_grid(args: argparse.Namespace) -> np.ndarray:
 def cmd_sweep(args: argparse.Namespace) -> int:
     mc = _mc_settings(args)
     z = _parse_dist(args.dist)
-    cfg = _quad_config(args)
 
     docs = []
     for i, sigma in enumerate(_sigma_grid(args)):
-        doc = asdict(bounds_mod.sandwich_report(z, float(sigma), cfg))
+        doc = asdict(bounds_mod.sandwich_report(z, float(sigma)))
         if mc is not None:
             g = GaussianDensity(float(sigma))
             hmc = mc_entropy(MixtureDensity(g, z), replace(mc, seed=mc.seed + i))
-            doc["mc_delta"] = deficit_via_identity(z, g, cfg, hmc).nats
+            doc["mc_delta"] = deficit_via_identity(z, g, hmc).nats
             doc["mc_se"] = hmc.abs_error
         docs.append(doc)
 
@@ -200,8 +194,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     _mc_config(args.mc_samples, MC_SEED_BASE)
-    cfg = _quad_config(args)
-    results = run_all_checks(cfg, mc_samples=args.mc_samples)
+    results = run_all_checks(mc_samples=args.mc_samples)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -219,9 +212,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_landauer(args: argparse.Namespace) -> int:
-    cfg = _quad_config(args)
     model = landauer_mod.BitMemoryModel(mu=args.mu, sigma=args.sigma, p1=args.p1)
-    report = landauer_mod.reset_report(model, cfg)
+    report = landauer_mod.reset_report(model)
     if args.bits:
         report = report.in_bits()
     doc = asdict(report)
@@ -260,14 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--output", default="stdout", metavar="PATH",
         help="output file path, or 'stdout' (default)",
-    )
-    common.add_argument(
-        "--quad-abs-tol", type=float, default=DEFAULT_QUADRATURE.abs_tol,
-        metavar="TOL", help="quadrature absolute tolerance (default %(default)s)",
-    )
-    common.add_argument(
-        "--quad-rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol,
-        metavar="TOL", help="quadrature relative tolerance (default %(default)s)",
     )
     # entropy and sweep only; validate has its own --mc-samples and seeds
     # its checks itself

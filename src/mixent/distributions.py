@@ -115,6 +115,7 @@ class DiscreteLattice:
     @classmethod
     def bernoulli(cls, p: float) -> "DiscreteLattice":
         """Law with P(Z=1) = p, P(Z=0) = 1 - p."""
+        p = _real(p, "bernoulli")
         return cls((1, 0), (p, 1.0 - p))
 
     @classmethod
@@ -132,7 +133,8 @@ class DiscreteLattice:
     @classmethod
     def from_json(cls, doc: Union[str, dict]) -> "DiscreteLattice":
         """Parse ``{"support": [...], "probs": [...]}`` or the shorthands
-        ``{"bernoulli": p}`` and ``{"uniform_support": n}``."""
+        ``{"bernoulli": p}`` and ``{"uniform_support": n}``: the keys must be
+        exactly one of these three forms."""
         if isinstance(doc, str):
             try:
                 doc = json.loads(doc)
@@ -140,17 +142,18 @@ class DiscreteLattice:
                 raise DistributionError(f"invalid distribution JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise DistributionError("distribution JSON must be an object")
+        if set(doc) not in ({"support", "probs"}, {"bernoulli"}, {"uniform_support"}):
+            raise DistributionError(
+                'distribution JSON needs exactly the keys "support" and "probs", '
+                f'"bernoulli", or "uniform_support" (got {sorted(doc)})'
+            )
         if "bernoulli" in doc:
-            return cls.bernoulli(_real(doc["bernoulli"], "bernoulli"))
+            return cls.bernoulli(doc["bernoulli"])
         if "uniform_support" in doc:
             return cls.uniform_support(doc["uniform_support"])
-        if "support" in doc and "probs" in doc:
-            if not all(isinstance(doc[k], list) for k in ("support", "probs")):
-                raise DistributionError('"support" and "probs" must be JSON arrays')
-            return cls(tuple(doc["support"]), tuple(doc["probs"]))
-        raise DistributionError(
-            'distribution JSON needs "support"/"probs", "bernoulli", or "uniform_support"'
-        )
+        if not all(isinstance(doc[k], list) for k in ("support", "probs")):
+            raise DistributionError('"support" and "probs" must be JSON arrays')
+        return cls(tuple(doc["support"]), tuple(doc["probs"]))
 
     def to_json(self) -> dict:
         return {"support": list(self.support), "probs": list(self.probs)}
@@ -163,7 +166,7 @@ class GaussianDensity:
     sigma: float
 
     def __post_init__(self) -> None:
-        sigma = float(self.sigma)
+        sigma = float(_real(self.sigma, "sigma"))
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise DistributionError(f"sigma must be a positive finite real (got {sigma!r})")
         object.__setattr__(self, "sigma", sigma)
@@ -190,7 +193,7 @@ class UniformDensity:
     half_width: float
 
     def __post_init__(self) -> None:
-        w = float(self.half_width)
+        w = float(_real(self.half_width, "half_width"))
         if not (math.isfinite(w) and w > 0.0):
             raise DistributionError(f"half_width must be a positive finite real (got {w!r})")
         object.__setattr__(self, "half_width", w)

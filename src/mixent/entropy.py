@@ -35,7 +35,7 @@ from .distributions import (
     UniformDensity,
     _log_sum_exp,
 )
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .numerics import integrate
 
 
 class EntropyMethod(enum.Enum):
@@ -85,7 +85,7 @@ def gaussian_entropy(g: BaseDensity) -> EntropyValue:
     return EntropyValue(g.entropy_nats(), EntropyMethod.CLOSED_FORM, 0.0)
 
 
-def _integrate_folded(body, support, log_probs, base, cfg, cells=None):
+def _integrate_folded(body, support, log_probs, base, cells=None):
     """``int_{-1/2}^{1/2} body(t(u)) du`` with ``t(u)`` the C x w matrix of
     ``ln p_k + ln f(u + n - k)``: one row per cell ``n`` (default: every
     integer within ``r = ceil(1/2 + w)`` of an atom, ``w`` the base's
@@ -114,7 +114,7 @@ def _integrate_folded(body, support, log_probs, base, cfg, cells=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         qr = integrate(
             lambda u: body(lps + base.log_pdf(u + offsets)),
-            -0.5, 0.5, cfg, points=points,
+            -0.5, 0.5, points=points,
         )
     return EntropyValue(
         qr.value, EntropyMethod.QUADRATURE, qr.abs_error_estimate, qr.converged
@@ -155,15 +155,13 @@ def _deficit_body(t: np.ndarray) -> float:
     return float(np.exp(top + np.log(total)).sum())
 
 
-def mixture_entropy(
-    m: MixtureDensity, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> EntropyValue:
+def mixture_entropy(m: MixtureDensity) -> EntropyValue:
     """``-int f_{X+Z} ln f_{X+Z}`` by one quadrature over the folded period."""
     z = m.lattice
-    return _integrate_folded(_entropy_body, z.support, z.log_probs, m.base, cfg)
+    return _integrate_folded(_entropy_body, z.support, z.log_probs, m.base)
 
 
-def _deficit_quadrature(support, log_probs, base, cfg, cells=None) -> EntropyValue:
+def _deficit_quadrature(support, log_probs, base, cells=None) -> EntropyValue:
     """The deficit integral over the folded period.  For a Gaussian base the
     weights are scaled by ``exp(d^2 / (8 sigma^2))``, ``d`` the smallest gap,
     which brings the integrand (linear in a common weight) to a peak of
@@ -173,7 +171,7 @@ def _deficit_quadrature(support, log_probs, base, cfg, cells=None) -> EntropyVal
     if isinstance(base, GaussianDensity) and len(support) > 1:
         s = float(np.diff(support).min()) ** 2 / (8.0 * base.sigma**2)
     lps = np.add(log_probs, s)
-    v = _integrate_folded(_deficit_body, support, lps, base, cfg, cells)
+    v = _integrate_folded(_deficit_body, support, lps, base, cells)
     scale = math.exp(-s)
     nats, err = v.nats * scale, v.abs_error * scale
     if v.nats > 0.0 and nats < sys.float_info.min:
@@ -181,21 +179,16 @@ def _deficit_quadrature(support, log_probs, base, cfg, cells=None) -> EntropyVal
     return replace(v, nats=nats, abs_error=err)
 
 
-def deficit_direct(
-    z: DiscreteLattice,
-    base: BaseDensity,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> EntropyValue:
+def deficit_direct(z: DiscreteLattice, base: BaseDensity) -> EntropyValue:
     """Deficit ``H(Z) + h(X) - h(X+Z)`` from its defining integral, one
     quadrature over the folded period.  For adjacent atoms it is subnormal
     below ``sigma`` ~ 0.0134 (its error covers the rounding) and 0 below ~ 0.0129."""
-    return _deficit_quadrature(z.support, z.log_probs, base, cfg)
+    return _deficit_quadrature(z.support, z.log_probs, base)
 
 
 def deficit_via_identity(
     z: DiscreteLattice,
     base: BaseDensity,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     hm: Optional[EntropyValue] = None,
 ) -> EntropyValue:
     """Deficit as ``H(Z) + h(X) - h(X+Z)`` with the mixture entropy ``hm``
@@ -204,7 +197,7 @@ def deficit_via_identity(
     hz = discrete_entropy(z)
     hx = gaussian_entropy(base)
     if hm is None:
-        hm = mixture_entropy(MixtureDensity(base, z), cfg)
+        hm = mixture_entropy(MixtureDensity(base, z))
     return EntropyValue(
         hz.nats + hx.nats - hm.nats,
         EntropyMethod.IDENTITY,
@@ -228,20 +221,19 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
 def entropy_report(
     z: DiscreteLattice,
     base: BaseDensity,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     mc: Optional[McConfig] = None,
 ) -> dict[str, EntropyValue]:
     """The quantities ``mixent entropy`` prints, by name in print order:
     ``H_Z``, ``h_X``, ``h_mixture``, ``delta_direct``, ``delta_identity``
     (from that one ``h_mixture``) and, with ``mc``, ``h_mc``."""
     m = MixtureDensity(base, z)
-    hm = mixture_entropy(m, cfg)
+    hm = mixture_entropy(m)
     report = {
         "H_Z": discrete_entropy(z),
         "h_X": gaussian_entropy(base),
         "h_mixture": hm,
-        "delta_direct": deficit_direct(z, base, cfg),
-        "delta_identity": deficit_via_identity(z, base, cfg, hm),
+        "delta_direct": deficit_direct(z, base),
+        "delta_identity": deficit_via_identity(z, base, hm),
     }
     if mc is not None:
         report["h_mc"] = mc_entropy(m, mc)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .bounds import theorem1_upper_bound
-from .distributions import DiscreteLattice, DistributionError, GaussianDensity
+from .distributions import DiscreteLattice, DistributionError, GaussianDensity, _real
 from .entropy import deficit_direct, discrete_entropy
-from .numerics import _LN2, DEFAULT_QUADRATURE, QuadratureConfig
+from .numerics import _LN2
 
 
 CSV_COLUMNS = (
@@ -46,7 +46,7 @@ class BitMemoryModel:
     p1: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
+        if not (math.isfinite(_real(self.mu, "mu")) and self.mu > 0.0):
             raise DistributionError(f"mu must be positive (got {self.mu!r})")
         try:
             rescale_to_unit_lattice(self)
@@ -57,7 +57,7 @@ class BitMemoryModel:
     @property
     def sigma_eff(self) -> float:
         """Noise scale after mapping the well spacing to the unit lattice."""
-        return self.sigma / (2.0 * self.mu)
+        return _real(self.sigma, "sigma") / (2.0 * self.mu)
 
 
 def rescale_to_unit_lattice(
@@ -107,14 +107,12 @@ class ResetReport:
         })
 
 
-def reset_report(
-    model: BitMemoryModel, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> ResetReport:
+def reset_report(model: BitMemoryModel) -> ResetReport:
     """Entropy before and after the reset, the drop, the ideal ``H(p1)``,
     the deficit correction, and (for ``sigma_eff < 1/2``) the closed-form
     envelope bounding how far the drop can fall short of ideal."""
     lattice, g_eff = rescale_to_unit_lattice(model)
-    delta = deficit_direct(lattice, g_eff, cfg)
+    delta = deficit_direct(lattice, g_eff)
     ideal = discrete_entropy(lattice).nats
     h_after = GaussianDensity(model.sigma).entropy_nats()
     # h(noise_eff) + ln(2 mu) == h(noise) == h_after, so the identity

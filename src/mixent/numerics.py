@@ -2,8 +2,8 @@
 Gaussian tail estimates.
 
 Quadrature is delegated to QUADPACK (``scipy.integrate.quad``): a globally
-adaptive embedded Gauss-Kronrod rule with the termination criterion
-``estimate <= max(abs_tol, rel_tol * |value|)``; infinite endpoints are
+adaptive embedded Gauss-Kronrod rule with the fixed termination criterion
+``estimate <= max(1e-12, 1e-10 * |value|)``; infinite endpoints are
 handled by QUADPACK's smooth compactifying change of variables.  Results are
 never raised as convergence errors; a failed subdivision budget is reported
 through ``QuadratureResult.converged`` so callers can decide.
@@ -24,6 +24,9 @@ _LN2 = math.log(2.0)
 
 # QUADPACK's subdivision budget; exhausting it flags a result unconverged.
 _MAX_SUBDIVISIONS = 2000
+# QUADPACK's termination tolerances: absolute, and relative to |value|.
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
 
 
 class InvalidInterval(ValueError):
@@ -32,19 +35,6 @@ class InvalidInterval(ValueError):
 
 class DomainError(ValueError):
     """Argument outside the domain where a closed-form bound is meaningful."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,6 @@ def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     points: Optional[Sequence[float]] = None,
 ) -> QuadratureResult:
     """Integrate ``f`` over ``(a, b)`` (endpoints may be infinite).
@@ -67,7 +56,7 @@ def integrate(
     ``points`` marks interior locations of spikes or kinks; they are passed
     to the subdivision as mandatory break points (finite intervals only).
     A result is always returned; ``converged`` is False when the estimate
-    could not be brought below ``max(abs_tol, rel_tol * |value|)``.
+    could not be brought below ``max(_ABS_TOL, _REL_TOL * |value|)``.
     """
     if not a < b:
         raise InvalidInterval(f"need a < b (got a={a!r}, b={b!r})")
@@ -80,8 +69,8 @@ def integrate(
         f,
         a,
         b,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
+        epsabs=_ABS_TOL,
+        epsrel=_REL_TOL,
         limit=_MAX_SUBDIVISIONS,
         full_output=1,
         **kwargs,

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 import mixent.entropy as entropy_mod
+import mixent.numerics as numerics_mod
 
 # Same examples on every run and no per-example deadline, so property tests
 # give the same verdict on a slow or busy host.
@@ -22,3 +23,11 @@ def integrate_calls(monkeypatch):
 
     monkeypatch.setattr(entropy_mod, "integrate", counting)
     return calls
+
+
+@pytest.fixture
+def unreachable_tolerance(monkeypatch):
+    """Quadrature tolerances of 1e-30, which no integral meets: every
+    quadrature comes back flagged unconverged."""
+    monkeypatch.setattr(numerics_mod, "_ABS_TOL", 1e-30)
+    monkeypatch.setattr(numerics_mod, "_REL_TOL", 1e-30)

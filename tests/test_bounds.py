@@ -350,8 +350,8 @@ class TestSandwichReport:
     def test_unconverged_lemma1_is_not_ok(self, monkeypatch):
         real = bounds_mod.lemma1_upper_bound
 
-        def unconverged(g, cfg):
-            return EntropyValue(real(g, cfg).nats, EntropyMethod.QUADRATURE, 0.0, False)
+        def unconverged(g):
+            return EntropyValue(real(g).nats, EntropyMethod.QUADRATURE, 0.0, False)
 
         monkeypatch.setattr(bounds_mod, "lemma1_upper_bound", unconverged)
         r = sandwich_report(FAIR, 0.25)

@@ -95,11 +95,10 @@ class TestEntropyCommand:
             math.log(4.0), rel=1e-12
         )
 
-    def test_nonconvergence_exit_3_with_output(self, capsys):
+    def test_nonconvergence_exit_3_with_output(self, capsys, unreachable_tolerance):
         code, out, err = run_cli(
             capsys, "entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
-            "--format", "json", "--quad-rel-tol", "1e-30",
-            "--quad-abs-tol", "1e-30",
+            "--format", "json",
         )
         assert code == 3
         doc = json.loads(out)  # result still printed
@@ -247,11 +246,10 @@ class TestValidateCommand:
         assert all(line.startswith("PASS") for line in named_checks)
         assert "10/10 checks passed" in lines[-1]
 
-    def test_impossible_tolerance_fails_with_nonconvergence(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "validate", "--mc-samples", "2000",
-            "--quad-abs-tol", "1e-30", "--quad-rel-tol", "1e-30",
-        )
+    def test_impossible_tolerance_fails_with_nonconvergence(
+        self, capsys, unreachable_tolerance
+    ):
+        code, out, _ = run_cli(capsys, "validate", "--mc-samples", "2000")
         assert code == 1
         assert "FAIL" in out
         assert "NonConvergence" in out
@@ -266,10 +264,9 @@ class TestValidateCommand:
         assert all(set(doc) == {"name", "passed", "detail"} for doc in docs)
         assert all(doc["passed"] is True for doc in docs)
 
-    def test_csv_failure_details_stay_in_one_cell(self, capsys):
+    def test_csv_failure_details_stay_in_one_cell(self, capsys, unreachable_tolerance):
         code, out, _ = run_cli(
             capsys, "validate", "--mc-samples", "2000", "--format", "csv",
-            "--quad-abs-tol", "1e-30", "--quad-rel-tol", "1e-30",
         )
         assert code == 1
         rows = list(csv.reader(out.splitlines()))
@@ -341,8 +338,12 @@ class TestLandauerCommand:
         ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5", "--mc-samples", "10"],
         ["validate", "--seed", "1"],
         ["validate", "--quick"],
+        ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON, "--quad-abs-tol", "1e-30"],
     ],
-    ids=["landauer_seed", "landauer_mc_samples", "validate_seed", "validate_quick"],
+    ids=[
+        "landauer_seed", "landauer_mc_samples", "validate_seed", "validate_quick",
+        "entropy_quad_abs_tol",
+    ],
 )
 def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

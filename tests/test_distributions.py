@@ -65,6 +65,16 @@ class TestDiscreteLattice:
         assert z.support == (0, 1)
         assert z.probs == (0.7, 0.3)
 
+    @pytest.mark.parametrize("p", [None, "0.3"])
+    def test_bernoulli_rejects_non_numbers(self, p):
+        with pytest.raises(DistributionError, match="is not a number"):
+            DiscreteLattice.bernoulli(p)
+
+    def test_numpy_numbers_are_numbers(self):
+        assert DiscreteLattice.bernoulli(np.float64(0.3)) == DiscreteLattice.bernoulli(0.3)
+        assert GaussianDensity(np.float32(0.5)).sigma == 0.5
+        assert UniformDensity(np.float64(0.25)).half_width == 0.25
+
     def test_uniform_support_shorthand(self):
         z = DiscreteLattice.uniform_support(4)
         assert z.support == (0, 1, 2, 3)
@@ -100,7 +110,12 @@ class TestDiscreteLattice:
          '{"uniform_support":null}', '{"support":5,"probs":1}',
          '{"support":"10","probs":[0.5,0.5]}', '{"bernoulli":"0.3"}',
          '{"bernoulli":true}', '{"support":[false,true],"probs":[0.5,0.5]}',
-         '{"uniform_support":"3"}', '{"support":[0,1],"probs":["0.5",0.5]}'],
+         '{"uniform_support":"3"}', '{"support":[0,1],"probs":["0.5",0.5]}',
+         # the keys are exactly one of the three forms
+         '{"support":[0,1],"probs":[0.5,0.5],"bernoulli":0.9}',
+         '{"uniform_support":2,"support":[0,1,2],"probs":[0.2,0.3,0.5]}',
+         '{"bernoulli":0.5,"uniform_support":3,"typo":1}',
+         '{"support":[0,1],"probs":[0.5,0.5],"extra":1}'],
     )
     def test_from_json_rejects_garbage(self, doc):
         with pytest.raises(DistributionError):
@@ -121,7 +136,7 @@ class TestDiscreteLattice:
 
 
 class TestGaussianDensity:
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan, "0.5", True, None])
     def test_rejects_bad_sigma(self, sigma):
         with pytest.raises(DistributionError):
             GaussianDensity(sigma)
@@ -167,6 +182,10 @@ class TestUniformDensity:
     def test_rejects_bad_width(self):
         with pytest.raises(DistributionError):
             UniformDensity(0.0)
+
+    def test_rejects_string_width(self):
+        with pytest.raises(DistributionError, match="is not a number"):
+            UniformDensity("0.25")
 
     def test_log_pdf_inside_and_outside(self):
         u = UniformDensity(0.25)

@@ -30,6 +30,8 @@ class TestBitMemoryModel:
             {"mu": 0.5, "sigma": 0.1, "p1": 1.5},
             {"mu": 0.5, "sigma": 0.1, "p1": -0.1},
             {"mu": math.inf, "sigma": 0.1, "p1": 0.5},
+            {"mu": "1", "sigma": 0.1, "p1": 0.5},
+            {"mu": 0.5, "sigma": "0.1", "p1": 0.5},
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):
