@@ -142,7 +142,7 @@ def sandwich_report(z: DiscreteLattice, sigma: float) -> BoundReport:
     """Compute the deficit and every bound applicable to ``(Z, sigma)``.
 
     The Bernoulli-specific lower bounds require an exact structural match
-    (two equal-weight atoms on adjacent integers); ``bernoulli_lb`` applies
+    (two equal-weight atoms on adjacent integers); ``bern_lb`` applies
     below ``sigma = 1/2``, ``bigsig_lb`` at and above it.
     """
     g = GaussianDensity(sigma)

@@ -52,18 +52,15 @@ BIG_SIGMA_GRID = (0.5, 1.0, 2.0, 4.0)
 IDENTITY_SIGMA_GRID = (0.05, 0.1, 0.25, 0.45, 1.0)
 
 
-def _geometric_truncated(ratio: float = 0.5, top: int = 5) -> DiscreteLattice:
-    weights = [ratio**k for k in range(top + 1)]
-    total = sum(weights)
-    return DiscreteLattice(tuple(range(top + 1)), tuple(w / total for w in weights))
-
-
 def grid_laws() -> dict[str, DiscreteLattice]:
+    weights = [0.5**k for k in range(6)]
+    total = sum(weights)
+    geometric = DiscreteLattice(tuple(range(6)), tuple(w / total for w in weights))
     return {
         "bernoulli(1/2)": DiscreteLattice.bernoulli(0.5),
         "bernoulli(0.3)": DiscreteLattice.bernoulli(0.3),
         "uniform{-1,0,1}": DiscreteLattice((-1, 0, 1), (1 / 3, 1 / 3, 1 / 3)),
-        "geometric{0..5}": _geometric_truncated(),
+        "geometric{0..5}": geometric,
     }
 
 

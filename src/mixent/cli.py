@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -22,12 +22,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import landauer as landauer_mod
 from .checks import MC_SEED_BASE, run_all_checks
-from .distributions import (
-    DiscreteLattice,
-    GaussianDensity,
-    MixtureDensity,
-)
-from .entropy import McConfig, deficit_via_identity, entropy_report, mc_entropy
+from .distributions import DiscreteLattice, GaussianDensity
+from .entropy import McConfig, entropy_report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -37,8 +33,7 @@ EXIT_NONCONVERGENCE = 3
 _SWEEP_COLUMNS_HELP = (
     "sweep CSV columns (stable order): "
     + ",".join(bounds_mod.CSV_COLUMNS)
-    + " [+ mc_delta,mc_se when --mc-samples > 0]; "
-    "landauer CSV columns: " + ",".join(landauer_mod.CSV_COLUMNS)
+    + "; landauer CSV columns: " + ",".join(landauer_mod.CSV_COLUMNS)
 )
 
 
@@ -52,13 +47,6 @@ def _mc_config(samples: int, seed: int) -> McConfig:
         return McConfig(samples=samples, seed=seed)
     except ValueError as exc:
         raise CliError(f"mc-samples {samples}, seed {seed}: {exc}") from exc
-
-
-def _mc_settings(args: argparse.Namespace) -> Optional[McConfig]:
-    """Entropy and sweep's ``--mc-samples``/``--seed``; None for 0 samples."""
-    if args.seed is not None and args.mc_samples == 0:
-        raise CliError("--seed needs --mc-samples > 0")
-    return _mc_config(args.mc_samples, args.seed or 0) if args.mc_samples else None
 
 
 def _parse_dist(spec: str) -> DiscreteLattice:
@@ -136,7 +124,7 @@ def _exit_code(converged: bool, what: str = "quadrature") -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    mc = _mc_settings(args)
+    mc = _mc_config(args.mc_samples, 0) if args.mc_samples else None
     z = _parse_dist(args.dist)
     report = entropy_report(z, GaussianDensity(args.sigma), mc)
     converged = all(v.converged for v in report.values())
@@ -165,26 +153,13 @@ def _sigma_grid(args: argparse.Namespace) -> np.ndarray:
         )
     if args.steps < 1:
         raise CliError(f"steps must be >= 1 (got {args.steps})")
-    if args.spacing == "linear":
-        return np.linspace(args.sigma_start, args.sigma_end, args.steps)
     return np.geomspace(args.sigma_start, args.sigma_end, args.steps)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    mc = _mc_settings(args)
     z = _parse_dist(args.dist)
-
-    docs = []
-    for i, sigma in enumerate(_sigma_grid(args)):
-        doc = asdict(bounds_mod.sandwich_report(z, float(sigma)))
-        if mc is not None:
-            g = GaussianDensity(float(sigma))
-            hmc = mc_entropy(MixtureDensity(g, z), replace(mc, seed=mc.seed + i))
-            doc["mc_delta"] = deficit_via_identity(z, g, hmc).nats
-            doc["mc_se"] = hmc.abs_error
-        docs.append(doc)
-
-    header = bounds_mod.CSV_COLUMNS + (("mc_delta", "mc_se") if mc is not None else ())
+    docs = [asdict(bounds_mod.sandwich_report(z, float(s))) for s in _sigma_grid(args)]
+    header = bounds_mod.CSV_COLUMNS
     _render(args, docs, header, [[doc[c] for c in header] for doc in docs])
     return _exit_code(all(doc["converged"] for doc in docs), "some rows")
 
@@ -253,45 +228,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default="stdout", metavar="PATH",
         help="output file path, or 'stdout' (default)",
     )
-    # entropy and sweep only; validate has its own --mc-samples and seeds
-    # its checks itself
-    mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument(
-        "--mc-samples", type=int, default=0, metavar="N",
-        help="Monte Carlo sample count (0 = skip MC; default 0)",
-    )
-    mc.add_argument(
-        "--seed", type=int, metavar="SEED",
-        help="Monte Carlo seed, with --mc-samples only (default 0)",
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument(
+        "--dist", required=True, metavar="JSON|FILE",
+        help='discrete law: inline JSON ({"support":[..],"probs":[..]}, '
+             '{"bernoulli":p}, {"uniform_support":n}) or a file path',
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_entropy = sub.add_parser(
-        "entropy", parents=[common, mc],
+        "entropy", parents=[common, law],
         help="H(Z), h(X), h(X+Z) and the deficit by both routes",
     )
     p_entropy.add_argument("--sigma", type=float, required=True,
                            help="Gaussian standard deviation")
     p_entropy.add_argument(
-        "--dist", required=True, metavar="JSON|FILE",
-        help='discrete law: inline JSON ({"support":[..],"probs":[..]}, '
-             '{"bernoulli":p}, {"uniform_support":n}) or a file path',
+        "--mc-samples", type=int, default=0, metavar="N",
+        help="Monte Carlo sample count, drawn from seed 0 (0 = skip MC; default 0)",
     )
     p_entropy.set_defaults(func=cmd_entropy)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common, mc],
-        help="bound/deficit sandwich report per sigma over a grid",
+        "sweep", parents=[common, law],
+        help="bound/deficit sandwich report per sigma over a geometric grid "
+             "(the bounds decay like exp(-1/(8 sigma^2)))",
     )
     p_sweep.add_argument("--sigma-start", type=float, required=True)
     p_sweep.add_argument("--sigma-end", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument(
-        "--spacing", choices=("log", "linear"), default="log",
-        help="grid spacing; log is the default since the bounds decay "
-             "like exp(-1/(8 sigma^2))",
-    )
-    p_sweep.add_argument("--dist", required=True, metavar="JSON|FILE")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_validate = sub.add_parser(
@@ -326,7 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
-        # ValueError covers bad laws and configs (seed, samples, tolerances),
+        # ValueError covers bad laws and sample counts,
         # OSError an unreadable --dist or unwritable --output: usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,7 +56,7 @@ class BitMemoryModel:
 
     @property
     def sigma_eff(self) -> float:
-        """Noise scale after mapping the well spacing to the unit lattice."""
+        """Noise scale after mapping the well separation to the unit lattice."""
         return _real(self.sigma, "sigma") / (2.0 * self.mu)
 
 

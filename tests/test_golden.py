@@ -31,16 +31,15 @@ FORMATS = ("text", "csv", "json")
 _COMMANDS = {
     "entropy_fair": ["entropy", "--sigma", "0.25", "--dist", FAIR],
     "entropy_3atom_mc": [
-        "entropy", "--sigma", "1", "--dist", THREE,
-        "--mc-samples", "5000", "--seed", "4",
+        "entropy", "--sigma", "1", "--dist", THREE, "--mc-samples", "5000",
     ],
     "sweep_3atom": [
         "sweep", "--sigma-start", "0.03", "--sigma-end", "4", "--steps", "12",
         "--dist", THREE,
     ],
-    "sweep_fair_mc": [
+    "sweep_fair": [
         "sweep", "--sigma-start", "0.2", "--sigma-end", "1", "--steps", "4",
-        "--dist", FAIR, "--mc-samples", "5000", "--seed", "4",
+        "--dist", FAIR,
     ],
     "landauer": ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5"],
     "landauer_bits": ["landauer", "--mu", "0.5", "--sigma", "1", "--p1", "0.3", "--bits"],
