@@ -18,7 +18,7 @@ which grows toward ``ln 2 / 2`` and shows the deficit stays large once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -33,9 +33,14 @@ from .entropy import (
 from .numerics import _LN2, _SQRT_2PI, DomainError
 
 
+def _subcritical(sigma: float) -> bool:
+    """The regime ``0 < sigma < 1/2`` of the closed-form bounds."""
+    return 0.0 < sigma < 0.5
+
+
 def _require_subcritical(sigma: float, what: str) -> float:
     sigma = float(sigma)
-    if not (0.0 < sigma < 0.5):
+    if not _subcritical(sigma):
         raise DomainError(f"{what} requires 0 < sigma < 1/2 (got {sigma!r})")
     return sigma
 
@@ -47,10 +52,9 @@ def lemma1_upper_bound(g: GaussianDensity) -> EntropyValue:
 
     folded onto one period (``y = u + n``, ``|u| <= 1/2``): the direct-route
     deficit quadrature on the one cell ``n = 0`` with unit-weight atoms
-    ``-M..M``, ``M = ceil(1/2 + g.half_width)``.
+    ``-g.reach..g.reach``.
     """
-    m = math.ceil(0.5 + g.half_width)
-    atoms = np.arange(-m, m + 1)
+    atoms = np.arange(-g.reach, g.reach + 1)
     cell = np.zeros(1, int)
     return _deficit_quadrature(atoms, np.zeros(atoms.size), g, cell)
 
@@ -99,20 +103,6 @@ def big_sigma_lower_bound(sigma: float) -> float:
     return _LN2 * tail_mass(GaussianDensity(1.0), 0.5 / sigma)
 
 
-CSV_COLUMNS = (
-    "sigma",
-    "delta",
-    "delta_err",
-    "lemma1",
-    "lemma3",
-    "lemma4",
-    "thm1",
-    "bern_lb",
-    "bigsig_lb",
-    "ok",
-)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Deficit estimate for one ``(sigma, Z)`` pair with every applicable
@@ -138,6 +128,11 @@ class BoundReport:
     converged: bool = True
 
 
+CSV_COLUMNS = tuple(
+    f.name for f in fields(BoundReport) if f.name not in ("z", "converged")
+)
+
+
 def sandwich_report(z: DiscreteLattice, sigma: float) -> BoundReport:
     """Compute the deficit and every bound applicable to ``(Z, sigma)``.
 
@@ -149,7 +144,7 @@ def sandwich_report(z: DiscreteLattice, sigma: float) -> BoundReport:
     delta: EntropyValue = deficit_direct(z, g)
     lemma1 = lemma1_upper_bound(g)
     lemma3 = lemma3_near_zero_term(g)
-    subcritical = 0.0 < sigma < 0.5
+    subcritical = _subcritical(sigma)
     lemma4 = lemma4_far_term(g) if subcritical else None
     thm1 = theorem1_upper_bound(sigma) if subcritical else None
     is_bern = z.is_fair_adjacent_bernoulli()

@@ -322,16 +322,18 @@ def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
     The three fair-Bernoulli bound checks judge one set of sandwich
     reports, one row per sigma.  The identity and Monte Carlo checks judge
     one entropy report per (law, sigma) of the grid; pair ``i`` in
-    law-major order draws its samples with seed ``MC_SEED_BASE + i``.
+    law-major order draws its samples with seed ``MC_SEED_BASE + i``; the
+    sample configs are built first, so a bad ``mc_samples`` stops the run
+    before any quadrature.
     """
-    fair = DiscreteLattice.bernoulli(0.5)
-    reports = [sandwich_report(fair, s) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
     laws = grid_laws()
     pairs = [(label, s) for label in laws for s in IDENTITY_SIGMA_GRID]
+    configs = [McConfig(mc_samples, MC_SEED_BASE + i) for i in range(len(pairs))]
+    fair = DiscreteLattice.bernoulli(0.5)
+    reports = [sandwich_report(fair, s) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
     rows = [
-        (label, s, entropy_report(laws[label], GaussianDensity(s),
-                                  McConfig(mc_samples, MC_SEED_BASE + i)))
-        for i, (label, s) in enumerate(pairs)
+        (label, s, entropy_report(laws[label], GaussianDensity(s), mc))
+        for (label, s), mc in zip(pairs, configs)
     ]
     return [
         check_identity(rows),

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import landauer as landauer_mod
-from .checks import MC_SEED_BASE, run_all_checks
+from .checks import run_all_checks
 from .distributions import DiscreteLattice, GaussianDensity
 from .entropy import McConfig, entropy_report
 
@@ -39,14 +39,6 @@ _SWEEP_COLUMNS_HELP = (
 
 class CliError(Exception):
     """Invalid arguments or inputs; maps to exit code 2."""
-
-
-def _mc_config(samples: int, seed: int) -> McConfig:
-    """McConfig's own rule, applied to ``--mc-samples`` before any quadrature."""
-    try:
-        return McConfig(samples=samples, seed=seed)
-    except ValueError as exc:
-        raise CliError(f"mc-samples {samples}, seed {seed}: {exc}") from exc
 
 
 def _parse_dist(spec: str) -> DiscreteLattice:
@@ -124,7 +116,7 @@ def _exit_code(converged: bool, what: str = "quadrature") -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    mc = _mc_config(args.mc_samples, 0) if args.mc_samples else None
+    mc = McConfig(args.mc_samples, 0) if args.mc_samples else None
     z = _parse_dist(args.dist)
     report = entropy_report(z, GaussianDensity(args.sigma), mc)
     converged = all(v.converged for v in report.values())
@@ -168,7 +160,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _mc_config(args.mc_samples, MC_SEED_BASE)
     results = run_all_checks(mc_samples=args.mc_samples)
     width = max(len(r.name) for r in results)
     lines = []

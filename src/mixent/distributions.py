@@ -39,6 +39,14 @@ def _real(x, what: str):
     return x
 
 
+def _positive(x, what: str) -> float:
+    """``x`` as a float, if it is a positive finite number."""
+    x = float(_real(x, what))
+    if not (math.isfinite(x) and x > 0.0):
+        raise DistributionError(f"{what} must be a positive finite real (got {x!r})")
+    return x
+
+
 def _lattice_int(x, what: str) -> int:
     """``x`` as an int, if it is an integer within +-2**53: beyond that
     doubles no longer hold every integer, so an entry would silently move."""
@@ -166,14 +174,16 @@ class GaussianDensity:
     sigma: float
 
     def __post_init__(self) -> None:
-        sigma = float(_real(self.sigma, "sigma"))
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise DistributionError(f"sigma must be a positive finite real (got {sigma!r})")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _positive(self.sigma, "sigma"))
 
     @property
     def half_width(self) -> float:
         return WINDOW_SIGMAS * self.sigma
+
+    @property
+    def reach(self) -> int:
+        """How many cells out from an atom the fold and lattice sums reach."""
+        return math.ceil(0.5 + self.half_width)
 
     def log_pdf(self, x):
         u = np.asarray(x, dtype=float) / self.sigma
@@ -193,10 +203,9 @@ class UniformDensity:
     half_width: float
 
     def __post_init__(self) -> None:
-        w = float(_real(self.half_width, "half_width"))
-        if not (math.isfinite(w) and w > 0.0):
-            raise DistributionError(f"half_width must be a positive finite real (got {w!r})")
-        object.__setattr__(self, "half_width", w)
+        object.__setattr__(self, "half_width", _positive(self.half_width, "half_width"))
+
+    reach = GaussianDensity.reach  # the same rule on this half_width
 
     def log_pdf(self, x):
         inside_log = -math.log(2.0 * self.half_width)

@@ -67,7 +67,9 @@ class McConfig:
 
     def __post_init__(self) -> None:
         if self.samples < 2:
-            raise ValueError("samples must be >= 2 for a standard error")
+            raise ValueError(
+                f"mc-samples {self.samples}: samples must be >= 2 for a standard error"
+            )
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -88,12 +90,12 @@ def gaussian_entropy(g: BaseDensity) -> EntropyValue:
 def _integrate_folded(body, support, log_probs, base, cells=None):
     """``int_{-1/2}^{1/2} body(t(u)) du`` with ``t(u)`` the C x w matrix of
     ``ln p_k + ln f(u + n - k)``: one row per cell ``n`` (default: every
-    integer within ``r = ceil(1/2 + w)`` of an atom, ``w`` the base's
-    ``half_width``), over the atoms within ``r`` of it, padded with
-    log-weight -inf.  Farther components are below ``exp(-800)`` of their
-    peak or zero; ``n - k`` is exact, so far atoms lose no digits."""
+    integer within the base's ``reach`` ``r`` of an atom), over the atoms
+    within ``r`` of it, padded with log-weight -inf.  Farther components are
+    below ``exp(-800)`` of their peak or zero; ``n - k`` is exact, so far
+    atoms lose no digits."""
     w = base.half_width
-    r = math.ceil(w + 0.5)
+    r = base.reach
     ks = np.asarray(support, dtype=np.int64)
     if cells is None:
         cells = np.unique(ks[:, None] + np.arange(-r, r + 1))

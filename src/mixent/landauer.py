@@ -12,27 +12,15 @@ approaches ``ln 2`` nats per bit, the entropy side of the Landauer relation
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .bounds import theorem1_upper_bound
-from .distributions import DiscreteLattice, DistributionError, GaussianDensity, _real
+from .bounds import _subcritical, theorem1_upper_bound
+from .distributions import (
+    DiscreteLattice, DistributionError, GaussianDensity, _positive, _real,
+)
 from .entropy import deficit_direct, discrete_entropy
 from .numerics import _LN2
-
-
-CSV_COLUMNS = (
-    "mu",
-    "sigma",
-    "p1",
-    "h_before",
-    "h_after",
-    "delta_h",
-    "ideal",
-    "deficit",
-    "envelope",
-)
 
 
 @dataclass(frozen=True)
@@ -46,8 +34,7 @@ class BitMemoryModel:
     p1: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(_real(self.mu, "mu")) and self.mu > 0.0):
-            raise DistributionError(f"mu must be positive (got {self.mu!r})")
+        _positive(self.mu, "mu")
         try:
             rescale_to_unit_lattice(self)
         except DistributionError as exc:
@@ -107,6 +94,11 @@ class ResetReport:
         })
 
 
+CSV_COLUMNS = tuple(
+    f.name for f in fields(ResetReport) if f.name not in ("deficit_err", "converged")
+)
+
+
 def reset_report(model: BitMemoryModel) -> ResetReport:
     """Entropy before and after the reset, the drop, the ideal ``H(p1)``,
     the deficit correction, and (for ``sigma_eff < 1/2``) the closed-form
@@ -118,9 +110,7 @@ def reset_report(model: BitMemoryModel) -> ResetReport:
     # h(noise_eff) + ln(2 mu) == h(noise) == h_after, so the identity
     # route gives h_before with the deficit as the only numeric term.
     h_before = ideal + h_after - delta.nats
-    envelope = None
-    if model.sigma_eff < 0.5:
-        envelope = theorem1_upper_bound(model.sigma_eff)
+    envelope = theorem1_upper_bound(g_eff.sigma) if _subcritical(g_eff.sigma) else None
     return ResetReport(
         mu=model.mu,
         sigma=model.sigma,

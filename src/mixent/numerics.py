@@ -89,14 +89,14 @@ def lattice_sum(g: GaussianDensity, epsilon: float) -> float:
 
     ``epsilon`` is first reduced modulo 1 to ``[-1/2, 1/2]`` (the sum is
     shift invariant), then symmetric term pairs are accumulated outward over
-    ``m = 1 .. ceil(1/2 + g.half_width)``, the quadratures' reach: every
-    farther term underflows to 0.
+    ``m = 1 .. g.reach``, the quadratures' reach: every farther term
+    underflows to 0.
     """
     sigma = g.sigma
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
     eps = float(epsilon) - round(float(epsilon))
     total = math.exp(-(eps * eps) * inv2s2)
-    for m in range(1, math.ceil(0.5 + g.half_width) + 1):
+    for m in range(1, g.reach + 1):
         up = eps + m
         dn = eps - m
         total += math.exp(-(up * up) * inv2s2) + math.exp(-(dn * dn) * inv2s2)
