@@ -280,9 +280,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
-        # ValueError covers bad laws and sample counts,
-        # OSError an unreadable --dist or unwritable --output: usage errors
+    except (CliError, ValueError, OverflowError, OSError) as exc:
+        # ValueError covers bad laws and sample counts, OverflowError a
+        # scale too large to square or reach, OSError an unreadable --dist
+        # or unwritable --output: usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -67,9 +67,10 @@ class ResetReport:
 
     ``h_before`` is assembled through the exact identity
     ``h(mixture) = H(p1) + h(noise) - deficit`` with the deficit from
-    quadrature, so ``delta_h = ideal - deficit`` holds exactly
-    and remains meaningful even when the deficit is far below the rounding
-    error of the entropies themselves.
+    quadrature.  ``delta_h`` is computed as ``ideal - deficit``, not as
+    ``h_before - h_after``, whose rounding (up to an ulp of ``h_after``) can
+    exceed the deficit by orders of magnitude, so the drop stays meaningful
+    even when the deficit is far below the rounding error of the entropies.
     """
 
     mu: float
@@ -117,7 +118,7 @@ def reset_report(model: BitMemoryModel) -> ResetReport:
         p1=model.p1,
         h_before=h_before,
         h_after=h_after,
-        delta_h=h_before - h_after,
+        delta_h=ideal - delta.nats,
         ideal=ideal,
         deficit=delta.nats,
         deficit_err=delta.abs_error,

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixent import landauer
 from mixent.bounds import CSV_COLUMNS, sandwich_report
 from mixent.cli import _cell, build_parser, main
 from mixent.distributions import DiscreteLattice, GaussianDensity
@@ -388,6 +389,19 @@ def test_readme_invocations_parse():
         build_parser().parse_args(argv)
 
 
+@pytest.mark.parametrize(
+    "lead, columns",
+    [("Sweep CSV columns (stable order):", CSV_COLUMNS),
+     ("Landauer CSV columns:", landauer.CSV_COLUMNS)],
+    ids=["sweep", "landauer"],
+)
+def test_readme_lists_the_report_columns(lead, columns):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(re.escape(lead) + r"\s*`([^`]*)`", readme)
+    assert listed is not None, lead
+    assert tuple(listed.group(1).split(",")) == columns
+
+
 def test_output_into_missing_directory_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(
@@ -397,3 +411,20 @@ def test_output_into_missing_directory_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sigma-start", "1e155", "--sigma-end", "1e155", "--steps", "1",
+         "--dist", FAIR_JSON],
+        ["landauer", "--mu", "1e200", "--sigma", "1e200", "--p1", "0.5"],
+        ["entropy", "--sigma", "1e308", "--dist", FAIR_JSON],
+    ],
+    ids=["sweep_sigma_squared", "landauer_sigma_squared", "entropy_infinite_reach"],
+)
+def test_scale_beyond_a_double_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

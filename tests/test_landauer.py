@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mixent.bounds import big_sigma_lower_bound, theorem1_upper_bound
 from mixent.distributions import (
@@ -147,3 +149,17 @@ class TestResetReport:
         assert row[-1] != ""
 
         assert csv_cells("1")[-1] == ""  # envelope absent at sigma_eff >= 1/2
+
+
+@given(
+    log10_mu=st.floats(-12.0, 12.0),
+    sigma_eff=st.floats(0.03, 0.45),
+    p1=st.floats(0.05, 0.95),
+)
+def test_drop_is_ideal_minus_deficit_inside_the_envelope(log10_mu, sigma_eff, p1):
+    # the drop carries no rounding of h_before or h_after, which grow with
+    # |ln mu| while the deficit can be far below one of their ulps
+    mu = 10.0**log10_mu
+    rr = reset_report(BitMemoryModel(mu=mu, sigma=sigma_eff * 2.0 * mu, p1=p1))
+    assert rr.delta_h == rr.ideal - rr.deficit
+    assert abs(rr.delta_h - rr.ideal) <= rr.envelope
