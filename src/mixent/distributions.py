@@ -174,7 +174,15 @@ class GaussianDensity:
     sigma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", _positive(self.sigma, "sigma"))
+        sigma = _positive(self.sigma, "sigma")
+        # the density, its entropy and the deficit's scale all square sigma;
+        # these are exactly the sigmas whose square is a normal double
+        if not 2.0**-511 <= sigma < 2.0**512:
+            raise DistributionError(
+                f"sigma {sigma!r} is outside [2**-511, 2**512): its square "
+                "must be a finite normal double"
+            )
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def half_width(self) -> float:
@@ -228,13 +236,16 @@ def tail_mass(g: GaussianDensity, z: float) -> float:
     return 0.5 * erfc(float(z) / (g.sigma * math.sqrt(2.0)))
 
 
-def _log_sum_exp(t: np.ndarray) -> np.ndarray:
-    """``ln sum exp(t)`` over the last axis, shifted by the row maximum so
-    that nothing overflows; a row of ``-inf`` gives ``-inf``."""
-    top = t.max(axis=-1, keepdims=True)
+def _log_sum_exp(t: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``ln sum exp(t)`` over ``axis``, shifted by the maximum along it so
+    that nothing overflows; a line of ``-inf`` gives ``-inf``.  Works in
+    place: ``t`` is overwritten."""
+    top = t.max(axis=axis, keepdims=True)
     top[top == -np.inf] = 0.0
+    t -= top
+    np.exp(t, out=t)
     with np.errstate(divide="ignore"):
-        return top[..., 0] + np.log(np.exp(t - top).sum(axis=-1))
+        return np.squeeze(top, axis) + np.log(t.sum(axis=axis))
 
 
 @dataclass(frozen=True)
@@ -249,13 +260,17 @@ class MixtureDensity:
 
         Returns ``-inf`` only when every component is a true zero (uniform
         base outside its support); for a Gaussian base the value is finite at
-        any finite ``x``.  Accepts scalars or arrays.
+        any finite ``x``.  Accepts scalars or arrays and keeps their shape.
+        The components form one K x N array, atoms on axis 0, reduced in
+        place over the atoms: adding K contiguous rows is much faster than
+        summing N rows of length K.
         """
         x = np.asarray(x, dtype=float)
-        support = np.asarray(self.lattice.support, dtype=float)
-        return _log_sum_exp(
-            np.asarray(self.lattice.log_probs) + self.base.log_pdf(x[..., None] - support)
-        )
+        col = (-1,) + (1,) * x.ndim
+        support = np.asarray(self.lattice.support, dtype=float).reshape(col)
+        t = self.base.log_pdf(x - support)
+        t += np.asarray(self.lattice.log_probs).reshape(col)
+        return _log_sum_exp(t, axis=0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         atoms = rng.choice(

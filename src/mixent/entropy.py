@@ -105,12 +105,17 @@ def _integrate_folded(body, support, log_probs, base, cells=None):
     pad = idx >= hi[:, None]
     idx[pad] = 0
     offsets = (cells[:, None] - ks[idx]).astype(float)
+    offsets[pad] = 0.0  # a far padding offset would overflow u * u at tiny sigma
     lps = np.where(pad, -np.inf, np.asarray(log_probs, dtype=float)[idx])
     # every Gaussian peak sits at u = 0; a narrow one (w < 1/2) is also
-    # fenced in at +-w, or it falls between the Kronrod nodes next to 0; a
+    # fenced in at exactly +-w (not mod 1: w + 1/2 rounds to 1/2 below
+    # w ~ 5.6e-17), or it falls between the Kronrod nodes next to 0; a
     # uniform base jumps at +-w mod 1
-    edges = isinstance(base, UniformDensity) or w < 0.5
-    points = [0.0] + ([(w + 0.5) % 1.0 - 0.5, (0.5 - w) % 1.0 - 0.5] if edges else [])
+    points = [0.0]
+    if isinstance(base, UniformDensity):
+        points += [(w + 0.5) % 1.0 - 0.5, (0.5 - w) % 1.0 - 0.5]
+    elif w < 0.5:
+        points += [w, -w]
     # log(0) of an empty "others" sum is meant (ln(1 + 0) = 0); the inf/nan
     # terms of padding and of a uniform base's zero components are masked
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -420,11 +420,17 @@ def test_output_into_missing_directory_exits_2(capsys, tmp_path):
          "--dist", FAIR_JSON],
         ["landauer", "--mu", "1e200", "--sigma", "1e200", "--p1", "0.5"],
         ["entropy", "--sigma", "1e308", "--dist", FAIR_JSON],
+        ["entropy", "--sigma", "1e-160", "--dist", FAIR_JSON],
+        ["entropy", "--sigma", "1e-170", "--dist", FAIR_JSON],
+        ["landauer", "--mu", "1", "--sigma", "1e-160", "--p1", "0.5"],
     ],
-    ids=["sweep_sigma_squared", "landauer_sigma_squared", "entropy_infinite_reach"],
+    ids=["sweep_sigma_squared", "landauer_sigma_squared", "entropy_infinite_reach",
+         "entropy_sigma_squared_subnormal", "entropy_sigma_squared_zero",
+         "landauer_sigma_squared_subnormal"],
 )
 def test_scale_beyond_a_double_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert re.search(r"sigma \S+ is outside \[2\*\*-511, 2\*\*512\)", err), err

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scipy.special import logsumexp
+from scipy.stats import norm
+
+from mixent.checks import MC_SEED_BASE, grid_laws
 from mixent.distributions import (
     DiscreteLattice,
     DistributionError,
@@ -16,6 +21,7 @@ from mixent.distributions import (
     UniformDensity,
     tail_mass,
 )
+from mixent.entropy import McConfig, mc_entropy
 from mixent.numerics import integrate
 
 
@@ -140,6 +146,26 @@ class TestGaussianDensity:
     def test_rejects_bad_sigma(self, sigma):
         with pytest.raises(DistributionError):
             GaussianDensity(sigma)
+
+    @pytest.mark.parametrize(
+        "sigma, ok",
+        [
+            (2.0**-511, True),
+            (math.nextafter(2.0**-511, 0.0), False),
+            (math.nextafter(2.0**512, 0.0), True),
+            (2.0**512, False),
+            (1e-160, False),
+            (1e155, False),
+            (1e308, False),
+        ],
+    )
+    def test_sigma_range_is_where_its_square_is_a_finite_normal_double(self, sigma, ok):
+        assert (sys.float_info.min <= sigma * sigma <= sys.float_info.max) == ok
+        if ok:
+            assert GaussianDensity(sigma).sigma == sigma
+        else:
+            with pytest.raises(DistributionError, match=re.escape(f"sigma {sigma!r} is outside")):
+                GaussianDensity(sigma)
 
     def test_log_pdf_at_zero(self):
         assert GaussianDensity(1.0).log_pdf(0.0) == pytest.approx(
@@ -268,6 +294,62 @@ class TestMixtureLogDensity:
         a = m.sample(np.random.default_rng(7), 100)
         b = m.sample(np.random.default_rng(7), 100)
         assert np.array_equal(a, b)
+
+
+def _geometric_law(k: int) -> DiscreteLattice:
+    w = 0.5 ** np.arange(k) + 0.1
+    return DiscreteLattice(tuple(range(k)), tuple(w / w.sum()))
+
+
+class TestLogDensityKernel:
+    """``log_density`` against a per-point reference that shares no code
+    with it: scipy's log-sum-exp over scipy's normal log-density."""
+
+    @pytest.mark.parametrize("shape", [(), (60,), (4, 15)])
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 5.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 8, 12, 40])
+    def test_matches_scipy_logsumexp(self, k, sigma, shape):
+        z = _geometric_law(k)
+        x = (np.linspace(-3.0, k + 2.0, 60) + 0.123)[: math.prod(shape)].reshape(shape)
+        got = MixtureDensity(GaussianDensity(sigma), z).log_density(x)
+        col = (-1,) + (1,) * x.ndim
+        want = logsumexp(
+            np.reshape(z.log_probs, col)
+            + norm.logpdf(x - np.reshape(z.support, col), scale=sigma),
+            axis=0,
+        )
+        assert np.shape(got) == shape
+        if shape == ():
+            assert type(got) is np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 40])
+    def test_uniform_base_is_minus_inf_outside_its_support(self, k):
+        w = 0.25
+        x = np.linspace(-2.0, k + 1.0, 4 * (k + 3)).reshape(4, -1)
+        ld = MixtureDensity(UniformDensity(w), _geometric_law(k)).log_density(x)
+        outside = np.abs(x[None] - np.arange(k).reshape(-1, 1, 1)).min(axis=0) >= w
+        assert ld.shape == x.shape
+        assert np.all(ld[outside] == -math.inf)
+        assert np.all(np.isfinite(ld[~outside]))
+
+
+# mc_entropy(grid law, sigma 0.25, N = 10**5, seed MC_SEED_BASE) as
+# (nats, standard error), captured from the N x K kernel before it became a
+# K x N one: the same bits, not merely close values, for laws of <= 7 atoms
+MC_BIT_PIN = {
+    "bernoulli(1/2)": ("0x1.55fa376d22af6p-1", "0x1.db9e48c68f6a6p-10"),
+    "bernoulli(0.3)": ("0x1.2e7c5b447f2a8p-1", "0x1.1e77d6391b3dep-9"),
+    "uniform{-1,0,1}": ("0x1.0db144390b604p+0", "0x1.b1630a5d0a072p-10"),
+    "geometric{0..5}": ("0x1.412ca73dc692cp+0", "0x1.87d2004622449p-9"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MC_BIT_PIN))
+def test_mc_entropy_bits_are_pinned(label):
+    m = MixtureDensity(GaussianDensity(0.25), grid_laws()[label])
+    v = mc_entropy(m, McConfig(10**5, MC_SEED_BASE))
+    assert (v.nats.hex(), v.abs_error.hex()) == MC_BIT_PIN[label]
 
 
 @st.composite

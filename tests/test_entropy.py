@@ -162,11 +162,13 @@ class TestDeficit:
         assert tiny.converged
         assert tiny.nats == 0.0
 
-    @pytest.mark.parametrize("sigma", [1e-6, 1e-4])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [2.0**-511, 1e-20, 1e-18, 1e-6, 1e-4])
     @pytest.mark.parametrize("z", [FAIR, DiscreteLattice((0, 2, 7), (0.2, 0.5, 0.3))])
     def test_narrow_peaks_give_exact_mixture_entropy(self, z, sigma):
         # the components do not overlap to double precision, so
-        # h(X+Z) = H(Z) + h(X)
+        # h(X+Z) = H(Z) + h(X); below sigma ~ 1.4e-18 the fences at +-40
+        # sigma would round to 0 unless placed exactly
         g = GaussianDensity(sigma)
         hm = mixture_entropy(MixtureDensity(g, z))
         exact = discrete_entropy(z).nats + gaussian_entropy(g).nats
