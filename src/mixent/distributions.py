@@ -198,7 +198,10 @@ class GaussianDensity:
         return -0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
 
     def entropy_nats(self) -> float:
-        return 0.5 * math.log(2.0 * math.pi * math.e * self.sigma**2)
+        scaled = 2.0 * math.pi * math.e * self.sigma**2
+        if math.isinf(scaled):  # sigma >~ 3.2e153, though sigma**2 is finite
+            return math.log(self.sigma) + 0.5 * math.log(2.0 * math.pi * math.e)
+        return 0.5 * math.log(scaled)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=n)
@@ -261,21 +264,37 @@ class MixtureDensity:
         Returns ``-inf`` only when every component is a true zero (uniform
         base outside its support); for a Gaussian base the value is finite at
         any finite ``x``.  Accepts scalars or arrays and keeps their shape.
-        The components form one K x N array, atoms on axis 0, reduced in
-        place over the atoms: adding K contiguous rows is much faster than
-        summing N rows of length K.
         """
-        x = np.asarray(x, dtype=float)
-        col = (-1,) + (1,) * x.ndim
-        support = np.asarray(self.lattice.support, dtype=float).reshape(col)
-        t = self.base.log_pdf(x - support)
+        return self._log_density_at(0, x)
+
+    def _log_density_at(self, atom: int, u):
+        """``ln sum_k p_k f(atom + u - k)``, with component ``k`` evaluated at
+        ``u + (atom - k)``: the shift is an exact integer, so a ``u`` far
+        below the spacing of doubles at ``atom`` keeps its digits.  With
+        ``atom = 0`` this is ``log_density``, bit for bit.  The components
+        form one K x N array, atoms on axis 0, reduced in place over the
+        atoms: adding K contiguous rows is much faster than summing N rows of
+        length K.
+        """
+        u = np.asarray(u, dtype=float)
+        col = (-1,) + (1,) * u.ndim
+        shift = (atom - np.asarray(self.lattice.support, dtype=float)).reshape(col)
+        # a far atom at tiny sigma squares past the largest double in
+        # log_pdf; the -inf that gives is its log-density to double precision
+        with np.errstate(over="ignore"):
+            t = self.base.log_pdf(u + shift)
         t += np.asarray(self.lattice.log_probs).reshape(col)
         return _log_sum_exp(t, axis=0)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        atoms = rng.choice(
-            np.asarray(self.lattice.support, dtype=float),
-            size=n,
-            p=np.asarray(self.lattice.probs),
-        )
-        return atoms + self.base.sample(rng, n)
+    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` draws of ``X + Z`` in exact coordinates, as ``(counts,
+        noise)``: ``rng.multinomial`` puts ``counts[i]`` draws on atom
+        ``support[i]``, and their noise is the ``i``-th run of ``counts[i]``
+        consecutive entries of ``noise`` (drawn after the counts).  The sum
+        ``k + noise`` is never formed: it would round a noise below the
+        spacing of doubles at ``k`` away.  This stream differs from that of
+        earlier versions, which drew each sample's atom by ``rng.choice``
+        and returned the sums; a seed still gives the same draws every run.
+        """
+        counts = rng.multinomial(n, self.lattice.probs)
+        return counts, self.base.sample(rng, n)

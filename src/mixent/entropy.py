@@ -60,6 +60,11 @@ class EntropyValue:
     converged: bool = True
 
 
+# Monte Carlo evaluates the mixture in blocks of at most this many (atom,
+# sample) cells: 1 MiB per temporary, which keeps them in cache.
+MC_BLOCK_CELLS = 2**17
+
+
 @dataclass(frozen=True)
 class McConfig:
     samples: int
@@ -214,12 +219,31 @@ def deficit_via_identity(
 
 
 def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
-    """Plug-in Monte Carlo entropy: ``-mean(log_density(x_i))`` over samples
+    """Plug-in Monte Carlo entropy: ``-mean(ln f(y_i))`` over samples ``y_i``
     drawn from the mixture itself, with the standard error of the mean as
-    the error estimate.  Same seed, same result, bit for bit."""
+    the error estimate.  Same seed, same result, bit for bit.
+
+    ``MixtureDensity.sample`` draws the atom counts by one multinomial and
+    the noise apart from them.  A sample of atom ``a`` is evaluated in exact
+    coordinates, against atom ``k`` at ``noise + (a - k)``, so the own-atom
+    term sees the noise itself even where ``a + noise`` would round to
+    ``a``.  Each atom's run of samples goes through the kernel in blocks of
+    at most ``MC_BLOCK_CELLS`` (atom, sample) cells, each filling its part
+    of one array of log-densities: memory is O(N) for any number of atoms
+    K, not O(K N), and a block's temporaries stay near cache size.  The
+    stream differs from that of earlier versions, which drew each sample's
+    atom by ``rng.choice``.
+    """
     rng = np.random.default_rng(cfg.seed)
-    xs = m.sample(rng, cfg.samples)
-    ld = m.log_density(xs)
+    counts, noise = m.sample(rng, cfg.samples)
+    ld = np.empty_like(noise)
+    step = max(1, MC_BLOCK_CELLS // len(counts))
+    end = 0
+    for atom, count in zip(m.lattice.support, counts.tolist()):
+        start, end = end, end + count
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            ld[lo:hi] = m._log_density_at(atom, noise[lo:hi])
     nats = -float(np.mean(ld))
     se = float(np.std(ld, ddof=1) / math.sqrt(cfg.samples))
     return EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)

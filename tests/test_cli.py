@@ -301,6 +301,16 @@ class TestLandauerCommand:
         doc = json.loads(out)
         assert doc["ideal"] == pytest.approx(1.0, rel=1e-12)
 
+    def test_noise_where_two_pi_e_sigma_squared_overflows(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "landauer", "--mu", "1e154", "--sigma", "5e153", "--p1", "0.5",
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["h_after"] == pytest.approx(355.32389567372775, rel=1e-15)
+        assert math.isfinite(doc["h_before"])
+
     def test_invalid_p1_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "landauer", "--mu", "0.5", "--sigma", "1", "--p1", "1.5",

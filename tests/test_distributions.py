@@ -167,6 +167,12 @@ class TestGaussianDensity:
             with pytest.raises(DistributionError, match=re.escape(f"sigma {sigma!r} is outside")):
                 GaussianDensity(sigma)
 
+    @pytest.mark.parametrize("sigma", [3.2e153, 5e153, math.nextafter(2.0**512, 0.0)])
+    def test_entropy_is_finite_where_two_pi_e_sigma_squared_overflows(self, sigma):
+        h = GaussianDensity(sigma).entropy_nats()
+        assert h == pytest.approx(math.log(sigma) + 0.5 * math.log(2 * math.pi * math.e),
+                                  rel=1e-15)
+
     def test_log_pdf_at_zero(self):
         assert GaussianDensity(1.0).log_pdf(0.0) == pytest.approx(
             -0.9189385332046727, rel=1e-15
@@ -291,9 +297,10 @@ class TestMixtureLogDensity:
 
     def test_sampling_is_seed_deterministic(self):
         m = MixtureDensity(GaussianDensity(0.25), DiscreteLattice.bernoulli(0.5))
-        a = m.sample(np.random.default_rng(7), 100)
-        b = m.sample(np.random.default_rng(7), 100)
-        assert np.array_equal(a, b)
+        counts_a, noise_a = m.sample(np.random.default_rng(7), 100)
+        counts_b, noise_b = m.sample(np.random.default_rng(7), 100)
+        assert np.array_equal(counts_a, counts_b) and np.array_equal(noise_a, noise_b)
+        assert counts_a.shape == (2,) and counts_a.sum() == 100 and noise_a.shape == (100,)
 
 
 def _geometric_law(k: int) -> DiscreteLattice:
@@ -335,13 +342,13 @@ class TestLogDensityKernel:
 
 
 # mc_entropy(grid law, sigma 0.25, N = 10**5, seed MC_SEED_BASE) as
-# (nats, standard error), captured from the N x K kernel before it became a
-# K x N one: the same bits, not merely close values, for laws of <= 7 atoms
+# (nats, standard error), captured from the multinomial draw evaluated in
+# exact coordinates, block by block: the same bits, not merely close values
 MC_BIT_PIN = {
-    "bernoulli(1/2)": ("0x1.55fa376d22af6p-1", "0x1.db9e48c68f6a6p-10"),
-    "bernoulli(0.3)": ("0x1.2e7c5b447f2a8p-1", "0x1.1e77d6391b3dep-9"),
-    "uniform{-1,0,1}": ("0x1.0db144390b604p+0", "0x1.b1630a5d0a072p-10"),
-    "geometric{0..5}": ("0x1.412ca73dc692cp+0", "0x1.87d2004622449p-9"),
+    "bernoulli(1/2)": ("0x1.552323fff8480p-1", "0x1.de610d8e5d73cp-10"),
+    "bernoulli(0.3)": ("0x1.2f1219e70e53bp-1", "0x1.20b66d9b4fd5fp-9"),
+    "uniform{-1,0,1}": ("0x1.0d50e8a56c816p+0", "0x1.b37811bdbe07cp-10"),
+    "geometric{0..5}": ("0x1.413be926d8f7cp+0", "0x1.88cc0d75a6db2p-9"),
 }
 
 

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import norm
 
 from mixent.bounds import big_sigma_lower_bound, theorem1_upper_bound
 from mixent.distributions import (
@@ -11,6 +15,7 @@ from mixent.distributions import (
     UniformDensity,
 )
 from mixent.entropy import (
+    MC_BLOCK_CELLS,
     EntropyMethod,
     McConfig,
     deficit_direct,
@@ -224,3 +229,55 @@ class TestMcEntropy:
         est = mc_entropy(m, McConfig(samples=50_000, seed=5))
         # exact value is 0; log-density is constant so the SE is 0 too
         assert est.nats == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e-100, 1e-16])
+    def test_exact_coordinates_below_the_spacing_of_doubles(self, sigma):
+        # 1 + noise rounds to 1 here: a sample must keep its noise apart
+        m = MixtureDensity(GaussianDensity(sigma), FAIR)
+        est = mc_entropy(m, McConfig(samples=2000, seed=0))
+        assert abs(est.nats - mixture_entropy(m).nats) <= 4.0 * est.abs_error
+
+    def test_far_atom_at_tiny_sigma_warns_nothing(self):
+        z = DiscreteLattice.from_json({"support": [0, 20000], "probs": [0.5, 0.5]})
+        m = MixtureDensity(GaussianDensity(1e-150), z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mc_entropy(m, McConfig(samples=2000, seed=0))
+        assert math.isfinite(est.nats) and math.isfinite(est.abs_error)
+
+    def test_memory_stays_bounded_for_many_atoms(self):
+        # one K x N array would take 24 bytes per cell: ~458 MiB here
+        m = MixtureDensity(GaussianDensity(1.0), DiscreteLattice.uniform_support(1000))
+        tracemalloc.start()
+        try:
+            mc_entropy(m, McConfig(samples=20_000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_one_atom_law_over_a_partial_block_is_the_base_log_pdf(self):
+        n = MC_BLOCK_CELLS + 5
+        g = GaussianDensity(0.7)
+        est = mc_entropy(MixtureDensity(g, DiscreteLattice.point_mass(3)), McConfig(n, 9))
+        rng = np.random.default_rng(9)
+        rng.multinomial(n, [1.0])
+        ld = g.log_pdf(g.sample(rng, n))
+        assert est.nats == -float(np.mean(ld))
+        assert est.abs_error == float(np.std(ld, ddof=1) / math.sqrt(n))
+
+    def test_zero_count_atom_and_partial_blocks_match_scipy(self):
+        z = DiscreteLattice((-2, 0, 5), (0.6, 1e-12, 0.4 - 1e-12))
+        sigma, n, seed = 0.8, 3 * (MC_BLOCK_CELLS // 3) + 7, 4
+        m = MixtureDensity(GaussianDensity(sigma), z)
+        counts, noise = m.sample(np.random.default_rng(seed), n)
+        assert counts[1] == 0 and counts[0] > MC_BLOCK_CELLS // 3
+        atoms = np.repeat(z.support, counts)
+        shifts = atoms[None, :] - np.reshape(z.support, (-1, 1))
+        want = logsumexp(
+            np.reshape(z.log_probs, (-1, 1)) + norm.logpdf(noise + shifts, scale=sigma),
+            axis=0,
+        )
+        est = mc_entropy(m, McConfig(n, seed))
+        assert est.nats == pytest.approx(-np.mean(want), rel=1e-14)
+        assert est.abs_error == pytest.approx(np.std(want, ddof=1) / math.sqrt(n), rel=1e-12)
