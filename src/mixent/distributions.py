@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -234,9 +233,11 @@ BaseDensity = Union[GaussianDensity, UniformDensity]
 
 
 def tail_mass(g: GaussianDensity, z: float) -> float:
-    """Upper-tail integral of ``g`` beyond ``z``, via the complementary error
-    function (accurate to >= 12 significant digits over ``|z/sigma| <= 30``)."""
-    return 0.5 * erfc(float(z) / (g.sigma * math.sqrt(2.0)))
+    """Upper-tail integral of ``g`` beyond ``z``, ``erfc(x) / 2`` at
+    ``x = z / (sigma sqrt 2)`` by ``math.erfc``: within 1e-15 relative of the
+    exact value at that ``x`` over ``[0.01, 26]`` (checked against mpmath),
+    subnormal from ``x`` ~ 26.5 and 0 from ~ 27.2."""
+    return 0.5 * math.erfc(float(z) / (g.sigma * math.sqrt(2.0)))
 
 
 def _log_sum_exp(t: np.ndarray, axis: int = -1) -> np.ndarray:

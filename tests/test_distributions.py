@@ -4,6 +4,7 @@ import re
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -209,6 +210,25 @@ class TestTailMass:
             4.906713927148187e-198, rel=1e-12
         )
 
+    @pytest.mark.parametrize("sigma", [0.03, 1.0, 7.0])
+    def test_matches_mpmath_erfc_to_the_last_digits(self, sigma):
+        # erfc(x) / 2 at the argument tail_mass forms, over x in [0.01, 26]:
+        # scipy's erfc was off by up to 5.6e-14 relative there
+        g = GaussianDensity(sigma)
+        for x in np.geomspace(0.01, 26.0, 61):
+            z = x * sigma * math.sqrt(2.0)
+            arg = z / (sigma * math.sqrt(2.0))
+            with mpmath.workdps(30):
+                exact = float(mpmath.erfc(mpmath.mpf(arg)) / 2)
+            assert tail_mass(g, z) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_subnormal_tail_is_not_zero(self):
+        # erfc(27) = 5.237e-319; scipy's erfc returned 0 from x ~ 26.7
+        g = GaussianDensity(1.0)
+        assert tail_mass(g, 27.0 * math.sqrt(2.0)) == pytest.approx(
+            5.237048923789256e-319 / 2, rel=1e-3, abs=0.0
+        )
+
 
 class TestUniformDensity:
     def test_rejects_bad_width(self):
@@ -290,7 +310,7 @@ class TestMixtureLogDensity:
             GaussianDensity(0.25), DiscreteLattice((-1, 0, 1), (1 / 3, 1 / 3, 1 / 3))
         )
         qr = integrate(
-            lambda x: math.exp(m.log_density(x)), -12.0, 12.0,
+            lambda x: np.exp(m.log_density(x)), -12.0, 12.0,
             points=[-1.0, 0.0, 1.0],
         )
         assert abs(qr.value - 1.0) <= max(qr.abs_error_estimate, 1e-10)

@@ -4,10 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from mixent.bounds import big_sigma_lower_bound, theorem1_upper_bound
+import mixent.entropy as entropy_mod
+from mixent.bounds import (
+    big_sigma_lower_bound,
+    lemma1_upper_bound,
+    theorem1_upper_bound,
+)
 from mixent.distributions import (
     DiscreteLattice,
     GaussianDensity,
@@ -65,7 +72,7 @@ class TestGaussianEntropy:
 
         def integrand(x):
             lf = g.log_pdf(x)
-            return -math.exp(lf) * lf
+            return -np.exp(lf) * lf
 
         qr = integrate(integrand, -np.inf, np.inf)
         assert abs(qr.value - closed) <= max(qr.abs_error_estimate, 1e-12)
@@ -186,6 +193,83 @@ class TestDeficit:
         assert not dd.converged
         assert not di.converged
         assert math.isfinite(dd.nats) and math.isfinite(di.nats)
+
+
+# float.hex of (value, abs_error) of quadratures that converge on their
+# initial panels: the same bits as QUADPACK's dqagpe gave them, which
+# scipy.integrate.quad computed before the integrator moved into numpy
+QUADRATURE_BIT_PINS = {
+    ("deficit_direct", 0.45): ("0x1.3b0d4ec3d7904p-2", "0x1.ec44cb1200d16p-49"),
+    ("mixture_entropy", 0.45): ("0x1.0183527125d04p+0", "0x1.925d30d0cb156p-47"),
+    ("deficit_direct", 1.0): ("0x1.29d7f36387503p-1", "0x1.d1616c4b836d5p-48"),
+    ("mixture_entropy", 1.0): ("0x1.87c5ac89341d0p+0", "0x1.32126ecb30b6ap-46"),
+    ("deficit_direct", 4.0): ("0x1.5eec1b01a7a65p-1", "0x1.122875194af9fp-47"),
+    ("mixture_entropy", 4.0): ("0x1.680fe454e3c88p+1", "0x1.194c6a6251f4ap-45"),
+    ("lemma1_upper_bound", 1.0): ("0x1.6b3f8e4325f5bp+0", "0x1.1bc9a72475a7fp-46"),
+}
+
+
+@st.composite
+def near_laws(draw):
+    """Up to 8 atoms with gaps of 1 to 3 and weights down to 1e-6."""
+    gaps = draw(st.lists(st.integers(1, 3), max_size=7))
+    support = np.cumsum([draw(st.integers(-5, 5))] + gaps)
+    weights = draw(
+        st.lists(st.floats(1e-6, 1.0), min_size=support.size, max_size=support.size)
+    )
+    total = math.fsum(weights)
+    return DiscreteLattice(tuple(support.tolist()), tuple(w / total for w in weights))
+
+
+class TestFoldedQuadrature:
+    @pytest.mark.parametrize("name, sigma", sorted(QUADRATURE_BIT_PINS))
+    def test_bits_are_pinned(self, name, sigma):
+        g = GaussianDensity(sigma)
+        v = {
+            "deficit_direct": lambda: deficit_direct(FAIR, g),
+            "mixture_entropy": lambda: mixture_entropy(MixtureDensity(g, FAIR)),
+            "lemma1_upper_bound": lambda: lemma1_upper_bound(g),
+        }[name]()
+        assert v.converged
+        assert (v.nats.hex(), v.abs_error.hex()) == QUADRATURE_BIT_PINS[name, sigma]
+
+    @given(z=near_laws(), sigma=st.floats(0.02, 16.0))
+    def test_integrand_on_an_array_is_the_integrand_on_each_node(self, z, sigma):
+        # the folded integrands, taken from the quadrature that runs them, at
+        # the real slice budget and at 2**10, which groups many nodes into a
+        # slice at small sigma and splits a node's cells at large sigma
+        g = GaussianDensity(sigma)
+        integrands = []
+        real = entropy_mod.integrate
+
+        def capture(f, *args, **kwargs):
+            integrands.append(f)
+            return real(f, *args, **kwargs)
+
+        u = np.concatenate([np.linspace(-0.5, 0.5, 37), [-1e-17, 0.0, 2.0**-60]])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy_mod, "integrate", capture)
+            deficit_direct(z, g)
+            mixture_entropy(MixtureDensity(g, z))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for budget in (entropy_mod.QUAD_BLOCK_CELLS, 2**10):
+                    mp.setattr(entropy_mod, "QUAD_BLOCK_CELLS", budget)
+                    for f in integrands:
+                        whole = f(u)
+                        each = np.concatenate([f(u[i : i + 1]) for i in range(u.size)])
+                        assert whole.tobytes() == each.tobytes()
+
+    def test_memory_stays_bounded_for_many_atoms(self):
+        # all 42 initial nodes at once would take ~8 MiB per temporary
+        z, g = DiscreteLattice.uniform_support(1000), GaussianDensity(0.25)
+        tracemalloc.start()
+        try:
+            dd = deficit_direct(z, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dd.converged
+        assert peak < 32 * 2**20
 
 
 class TestMcEntropy:

@@ -3,8 +3,8 @@
 with what is stored under ``tests/golden/``.  The one unconverged case is
 replayed with the quadrature tolerances patched to 1e-30.
 
-The stored outputs were captured with numpy 2.4 and scipy 1.17; another
-build of either can move the last printed digit of a quadrature result.
+The stored outputs were captured with numpy 2.4; another build of it (its
+exp and log) can move the last printed digit of a quadrature result.
 To rewrite them after a change that is meant to alter the output:
 
     PYTHONPATH=src python tests/test_golden.py

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+import mixent.numerics as numerics_mod
 from mixent.distributions import DiscreteLattice, GaussianDensity, MixtureDensity, tail_mass
 from mixent.numerics import (
     DomainError,
@@ -18,8 +20,8 @@ from mixent.numerics import (
 STD_NORMAL = GaussianDensity(1.0)
 
 
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def _phi(x: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 class TestIntegrate:
@@ -30,7 +32,7 @@ class TestIntegrate:
 
     def test_mixture_normalization(self):
         m = MixtureDensity(GaussianDensity(0.25), DiscreteLattice.bernoulli(0.5))
-        qr = integrate(lambda x: math.exp(m.log_density(x)), -np.inf, np.inf)
+        qr = integrate(lambda x: np.exp(m.log_density(x)), -np.inf, np.inf)
         assert abs(qr.value - 1.0) <= 1e-10
 
     def test_tail_matches_erfc_oracle(self):
@@ -45,7 +47,7 @@ class TestIntegrate:
             integrate(_phi, 2.0, -2.0)
 
     def test_nonconvergence_is_flagged_not_raised(self, unreachable_tolerance):
-        qr = integrate(lambda x: math.exp(-x * x / 2e-4), -10.0, 10.0)
+        qr = integrate(lambda x: np.exp(-x * x / 2e-4), -10.0, 10.0)
         assert isinstance(qr, QuadratureResult)
         assert not qr.converged
         assert math.isfinite(qr.value)
@@ -59,6 +61,48 @@ class TestIntegrate:
         qr = integrate(lambda x: np.exp(g.log_pdf(x - 3.0)), -20.0, 20.0, points=[3.0])
         assert abs(qr.value - 1.0) <= 1e-9
 
+    def test_evaluations_are_21_per_panel_evaluated(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x * x / 2e-4)
+
+        qr = integrate(f, -10.0, 10.0, points=[-1.0, 2.0])
+        assert qr.converged and len(sizes) > 1
+        # the three initial panels, then two halves per bisected panel
+        assert sizes[0] == 63 and all(n % 42 == 0 for n in sizes[1:])
+        assert qr.evaluations == sum(sizes)
+
+    def test_unreachable_tolerance_stops_at_the_round_off_floor(
+        self, unreachable_tolerance
+    ):
+        qr = integrate(np.exp, 0.0, 1.0)
+        assert not qr.converged
+        assert qr.evaluations < 21 * numerics_mod._MAX_SUBDIVISIONS
+        assert abs(qr.value - math.expm1(1.0)) <= qr.abs_error_estimate
+
+    def test_break_points_bound_the_initial_panels(self):
+        # a step at 1/3 is integrated exactly when 1/3 is a break point
+        seen = []
+
+        def step(x):
+            seen.append(x)
+            return (x > 1.0 / 3.0).astype(float)
+
+        qr = integrate(step, 0.0, 1.0, points=[1.0 / 3.0, 5.0, -1.0])
+        assert qr.converged and qr.evaluations == 42
+        assert qr.value == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert (seen[0][:21] < 1.0 / 3.0).all() and (seen[0][21:] > 1.0 / 3.0).all()
+
+    @pytest.mark.parametrize(
+        "a, b, mass", [(-np.inf, np.inf, 1.0), (0.0, np.inf, 0.5), (-np.inf, 0.0, 0.5)]
+    )
+    def test_points_change_nothing_on_infinite_intervals(self, a, b, mass):
+        plain = integrate(_phi, a, b)
+        assert plain.converged and abs(plain.value - mass) <= 1e-12
+        assert integrate(_phi, a, b, points=[0.0, -1.0, 3.0]) == plain
+
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
     def test_gaussian_moments_within_reported_error(self, sigma):
         g = GaussianDensity(sigma)
@@ -68,6 +112,31 @@ class TestIntegrate:
         assert abs(second.value - sigma**2) <= max(
             second.abs_error_estimate, 1e-13 * sigma**2
         )
+
+    @pytest.mark.parametrize(
+        "f, a, b, points",
+        [
+            (np.exp, 0.0, 1.0, None),
+            (np.cos, -1.0, 2.0, [0.5]),
+            (lambda x: np.exp(-x * x / 2e-4), -10.0, 10.0, [-1.0, 2.0]),
+            (np.sqrt, 0.0, 1.0, None),
+            (lambda x: np.abs(x - 0.3) ** 0.25, -1.0, 1.0, [0.0]),
+        ],
+    )
+    def test_agrees_with_quadpack(self, f, a, b, points):
+        # scipy's QUADPACK as an oracle: the same bits where both converge
+        # on the initial panels, else within the two error estimates
+        kwargs = {} if points is None else {"points": points}
+        value, err = quad(
+            lambda x: float(f(np.array([x]))[0]), a, b, epsabs=1e-12, epsrel=1e-10,
+            limit=2000, **kwargs,
+        )
+        qr = integrate(f, a, b, points=points)
+        assert qr.converged
+        if qr.evaluations == 21 * (1 + len(points or ())):
+            assert (qr.value, qr.abs_error_estimate) == (value, err)
+        else:
+            assert abs(qr.value - value) <= qr.abs_error_estimate + err
 
 
 class TestLatticeSum:
