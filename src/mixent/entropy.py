@@ -254,15 +254,19 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
     coordinates, against atom ``k`` at ``noise + (a - k)``, so the own-atom
     term sees the noise itself even where ``a + noise`` would round to
     ``a``.  Each atom's run of samples goes through the kernel in blocks of
-    at most ``MC_BLOCK_CELLS`` (atom, sample) cells, each filling its part
-    of one array of log-densities: memory is O(N) for any number of atoms
-    K, not O(K N), and a block's temporaries stay near cache size.  The
-    stream differs from that of earlier versions, which drew each sample's
-    atom by ``rng.choice``.
+    at most ``MC_BLOCK_CELLS`` (atom, sample) cells, and its log-densities
+    overwrite the noise they came from: the estimate holds one array of N
+    doubles for any number of atoms K, not O(K N), and a block's
+    temporaries stay near cache size.  The mean and the variance are
+    reduced in that array too, by the operations of ``np.mean`` and
+    ``np.std(ddof=1)``, so the bits are theirs.  The stream differs from
+    that of earlier versions, which drew each sample's atom by
+    ``rng.choice``.
     """
     rng = np.random.default_rng(cfg.seed)
-    counts, noise = m.sample(rng, cfg.samples)
-    ld = np.empty_like(noise)
+    n = cfg.samples
+    counts, noise = m.sample(rng, n)
+    ld = noise  # each block overwrites the noise it was computed from
     step = max(1, MC_BLOCK_CELLS // len(counts))
     end = 0
     for atom, count in zip(m.lattice.support, counts.tolist()):
@@ -270,8 +274,11 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
         for lo in range(start, end, step):
             hi = min(lo + step, end)
             ld[lo:hi] = m._log_density_at(atom, noise[lo:hi])
-    nats = -float(np.mean(ld))
-    se = float(np.std(ld, ddof=1) / math.sqrt(cfg.samples))
+    mean = np.add.reduce(ld) / n
+    ld -= mean
+    ld *= ld
+    nats = -float(mean)
+    se = float(np.sqrt(np.add.reduce(ld) / (n - 1)) / math.sqrt(n))
     return EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)
 
 

@@ -1,6 +1,11 @@
 """The validate checks report a broken inequality as a failure, quoting it,
 the fair-Bernoulli bound checks share one deficit per sigma, and the
-identity and Monte Carlo checks share one mixture entropy per law and sigma."""
+identity and Monte Carlo checks share one mixture entropy per law and sigma.
+The entropy reports run on a pool of one worker per usable CPU; the worker
+count changes no bit, and a failing report stops the pool early."""
+
+import threading
+import time
 
 import pytest
 
@@ -80,3 +85,76 @@ def test_fair_bernoulli_deficits_are_computed_once(monkeypatch):
             for s in checks.IDENTITY_SIGMA_GRID}
     assert grid <= set(mixtures)
     assert len(mixtures) == len(set(mixtures))
+
+
+def _pin_cpus(mp, n):
+    """Make this process look like it may run on ``n`` CPUs."""
+    mp.setattr(checks.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    mp.setattr(checks.os, "cpu_count", lambda: n)
+
+
+def test_one_worker_per_usable_cpu_at_most_one_per_pair(monkeypatch):
+    for cpus, workers in ((1, 1), (2, 2), (64, 20)):
+        _pin_cpus(monkeypatch, cpus)
+        assert checks._worker_count(20) == workers
+    # no CPU set and an unknown CPU count: one worker
+    monkeypatch.delattr(checks.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: None)
+    assert checks._worker_count(20) == 1
+
+
+def _run_on(cpus):
+    """``run_all_checks`` at N=5000 on ``cpus`` CPUs (None: this host's);
+    also every entropy report it built, by seed, and the threads that built
+    them."""
+    reports, threads = {}, set()
+    real = checks.entropy_report
+
+    def recording(z, base, mc):
+        threads.add(threading.get_ident())
+        reports[mc.seed] = report = real(z, base, mc)
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        if cpus is not None:
+            _pin_cpus(mp, cpus)
+        mp.setattr(checks, "entropy_report", recording)
+        results = checks.run_all_checks(mc_samples=5000)
+    return results, reports, threads
+
+
+def _bits(report):
+    return {name: (v.nats.hex(), v.abs_error.hex(), v.method, v.converged)
+            for name, v in report.items()}
+
+
+def test_worker_count_changes_no_bit():
+    serial, serial_reports, serial_threads = _run_on(1)
+    assert len(serial_threads) == 1
+    assert len(serial_reports) == 20
+    for cpus in (None, 4):
+        results, reports, threads = _run_on(cpus)
+        assert results == serial
+        if cpus is not None:
+            assert len(threads) <= cpus
+        assert reports.keys() == serial_reports.keys()
+        for seed, report in reports.items():
+            assert _bits(report) == _bits(serial_reports[seed])
+
+
+def test_a_failing_report_cancels_the_queued_ones(monkeypatch):
+    # pair 0 fails at once while its neighbours take 20 ms each: the pool
+    # must not start all 20 before the error comes back
+    calls = []
+
+    def failing(z, base, mc):
+        calls.append(mc.seed)
+        if mc.seed == checks.MC_SEED_BASE:
+            raise RuntimeError("pair 0 broke")
+        time.sleep(0.02)
+
+    _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(checks, "entropy_report", failing)
+    with pytest.raises(RuntimeError, match="pair 0 broke"):
+        checks.run_all_checks(mc_samples=2)
+    assert len(calls) < 6, calls

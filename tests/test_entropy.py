@@ -340,6 +340,19 @@ class TestMcEntropy:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_holds_one_array_of_the_sample_size(self):
+        # 8 MiB of noise, overwritten by its log-densities, and 1 MiB blocks;
+        # a separate log-density array and np.std's temporary would add 16 MiB
+        m = MixtureDensity(GaussianDensity(0.25), FAIR)
+        mc_entropy(m, McConfig(samples=2, seed=0))  # lazy imports, ~0.7 MiB
+        tracemalloc.start()
+        try:
+            mc_entropy(m, McConfig(samples=2**20, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
     def test_one_atom_law_over_a_partial_block_is_the_base_log_pdf(self):
         n = MC_BLOCK_CELLS + 5
         g = GaussianDensity(0.7)
