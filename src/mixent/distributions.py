@@ -240,16 +240,16 @@ def tail_mass(g: GaussianDensity, z: float) -> float:
     return 0.5 * math.erfc(float(z) / (g.sigma * math.sqrt(2.0)))
 
 
-def _log_sum_exp(t: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``ln sum exp(t)`` over ``axis``, shifted by the maximum along it so
-    that nothing overflows; a line of ``-inf`` gives ``-inf``.  Works in
-    place: ``t`` is overwritten."""
-    top = t.max(axis=axis, keepdims=True)
+def _log_sum_exp(t: np.ndarray) -> np.ndarray:
+    """``ln sum exp(t)`` over the atoms on axis 0, shifted by their maximum
+    so that nothing overflows; a column of ``-inf`` gives ``-inf``.  Works
+    in place: ``t`` is overwritten."""
+    top = t.max(axis=0, keepdims=True)
     top[top == -np.inf] = 0.0
     t -= top
     np.exp(t, out=t)
     with np.errstate(divide="ignore"):
-        return np.squeeze(top, axis) + np.log(t.sum(axis=axis))
+        return top[0] + np.log(t.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ class MixtureDensity:
         with np.errstate(over="ignore"):
             t = self.base.log_pdf(u + shift)
         t += np.asarray(self.lattice.log_probs).reshape(col)
-        return _log_sum_exp(t, axis=0)
+        return _log_sum_exp(t)
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``n`` draws of ``X + Z`` in exact coordinates, as ``(counts,

@@ -9,10 +9,11 @@ and ``deficit_via_identity`` subtracts the quadrature mixture entropy from
 ``H(Z) + h(X)``.  All atoms are integers, so with ``x = u + n`` both are one
 quadrature over ``u`` in ``[-1/2, 1/2]`` of a sum over the integer cells
 ``n`` near an atom; one call of the integrand evaluates every node of a
-quadrature round at every cell, in slices of bounded size.  A Gaussian
-deficit integrand peaks at size ``exp(-d^2 / (8 sigma^2))``, ``d`` the
-smallest gap between atoms, and is integrated scaled by the inverse of that
-factor, so the absolute tolerance acts as a relative one.  Lemma 1 is the
+quadrature round at every cell, in slices of bounded size with the atoms on
+axis 0, and the deficit integrand is a closed sum of nonnegative terms.  A
+Gaussian deficit integrand peaks at size ``exp(-d^2 / (8 sigma^2))``, ``d``
+the smallest gap between atoms, and is integrated scaled by the inverse of
+that factor, so the absolute tolerance acts as a relative one.  Lemma 1 is the
 same deficit quadrature on one cell.  The two routes check each other, and a
 seeded Monte Carlo estimator is a third; ``entropy_report`` gathers all of
 them for one law and base from one mixture-entropy quadrature.
@@ -64,10 +65,10 @@ class EntropyValue:
 # Monte Carlo evaluates the mixture in blocks of at most this many (atom,
 # sample) cells: 1 MiB per temporary, which keeps them in cache.
 MC_BLOCK_CELLS = 2**17
-# The folded integrands evaluate their (node, cell, atom) entries in slices
-# of at most this many.  Measured on a 2-vCPU x86 host, the quadratures ran
-# fastest at 2**14 to 2**15 and Monte Carlo at 2**17 (~30% slower at 2**14
-# on 24 atoms), so the two keep separate budgets.
+# The folded integrands evaluate their (atom, node, cell) entries in slices
+# of at most this many.  On a 2-vCPU x86 host, both quadratures on 18 laws
+# of <= 24 atoms took 43.7, 42.6, 47.6 and 46.2 ms at 2**13 to 2**16 (median
+# of 40), and Monte Carlo ran fastest at 2**17, so each keeps its budget.
 QUAD_BLOCK_CELLS = 2**14
 
 
@@ -99,12 +100,12 @@ def gaussian_entropy(g: BaseDensity) -> EntropyValue:
 
 
 def _integrate_folded(body, support, log_probs, base, cells=None):
-    """``int_{-1/2}^{1/2} sum_n body(t(u))_n du`` with ``t(u)`` the C x w
+    """``int_{-1/2}^{1/2} sum_n body(t(u))_n du`` with ``t(u)`` the w x C
     matrix of ``ln p_k + ln f(u + n - k)`` and ``body`` giving one value per
-    row: one row per cell ``n`` (default: every integer within the base's
-    ``reach`` ``r`` of an atom), over the atoms within ``r`` of it, padded
-    with log-weight -inf.  Farther components are below ``exp(-800)`` of
-    their peak or zero; ``n - k`` is exact, so far atoms lose no digits."""
+    column: one column per cell ``n`` (default: every integer within the
+    base's ``reach`` ``r`` of an atom), over the atoms within ``r`` of it,
+    padded with log-weight -inf.  Farther components are below ``exp(-800)``
+    of their peak or zero; ``n - k`` is exact, so far atoms lose no digits."""
     w = base.half_width
     r = base.reach
     ks = np.asarray(support, dtype=np.int64)
@@ -112,10 +113,10 @@ def _integrate_folded(body, support, log_probs, base, cells=None):
         cells = np.unique(ks[:, None] + np.arange(-r, r + 1))
     lo = np.searchsorted(ks, cells - r)
     hi = np.searchsorted(ks, cells + r, side="right")
-    idx = lo[:, None] + np.arange((hi - lo).max())
-    pad = idx >= hi[:, None]
+    idx = lo + np.arange((hi - lo).max())[:, None]
+    pad = idx >= hi
     idx[pad] = 0
-    offsets = (cells[:, None] - ks[idx]).astype(float)
+    offsets = (cells - ks[idx]).astype(float)
     offsets[pad] = 0.0  # a far padding offset would overflow u * u at tiny sigma
     lps = np.where(pad, -np.inf, np.asarray(log_probs, dtype=float)[idx])
     # every Gaussian peak sits at u = 0; a narrow one (w < 1/2) is also
@@ -127,8 +128,8 @@ def _integrate_folded(body, support, log_probs, base, cells=None):
         points += [(w + 0.5) % 1.0 - 0.5, (0.5 - w) % 1.0 - 0.5]
     elif w < 0.5:
         points += [w, -w]
-    # log(0) of an empty "others" sum is meant (ln(1 + 0) = 0); the inf/nan
-    # terms of padding and of a uniform base's zero components are masked
+    # the inf/nan of padding, of a uniform base's zero components and of a
+    # column with no mass are taken to 0 by the bodies
     with np.errstate(divide="ignore", invalid="ignore"):
         qr = integrate(
             lambda u: _cell_sums(body, u, lps, offsets, base), -0.5, 0.5, points=points
@@ -140,56 +141,54 @@ def _integrate_folded(body, support, log_probs, base, cells=None):
 
 def _cell_sums(body, u, lps, offsets, base) -> np.ndarray:
     """``sum_n body(t(u_i))_n`` over the cells, for each node ``u_i``.  The
-    (node, cell) pairs are the rows of one matrix, built and reduced in
-    slices of at most ``QUAD_BLOCK_CELLS`` entries; a node's cells form one
-    contiguous line, summed as one row, so its value does not depend on the
-    other nodes evaluated with it."""
-    n_cells, width = offsets.shape
+    (node, cell) pairs are the columns of one w x nodes x cells array, atoms
+    on axis 0, built and reduced in slices of at most ``QUAD_BLOCK_CELLS``
+    entries; a node's cells form one contiguous line, summed as one row, so
+    its value does not depend on the other nodes evaluated with it."""
+    width, n_cells = offsets.shape
     rows = max(1, QUAD_BLOCK_CELLS // width)
     step_u, step_c = max(1, rows // n_cells), min(n_cells, rows)
     out = np.empty((u.size, n_cells))
     for i in range(0, u.size, step_u):
-        ui = u[i : i + step_u, None, None]
+        ui = u[i : i + step_u, None]
         for c in range(0, n_cells, step_c):
-            t = base.log_pdf(ui + offsets[c : c + step_c])
-            t += lps[c : c + step_c]
+            t = base.log_pdf(ui + offsets[:, None, c : c + step_c])
+            t += lps[:, None, c : c + step_c]
             block = out[i : i + step_u, c : c + step_c]
-            block[...] = body(t.reshape(-1, width)).reshape(block.shape)
+            block[...] = body(t.reshape(width, -1)).reshape(block.shape)
     return out.sum(axis=1)
 
 
 def _entropy_body(t: np.ndarray) -> np.ndarray:
-    """``-M ln M`` for each row, ``M`` being the row's mixture density (0 for
-    a row with no mass)."""
+    """``-M ln M`` for each column, ``M`` being the column's mixture density
+    (0 for a column with no mass)."""
     ld = _log_sum_exp(t)
     return np.where(ld > -np.inf, -(np.exp(ld) * ld), 0.0)
 
 
 def _deficit_body(t: np.ndarray) -> np.ndarray:
-    """``sum_k p_k f(x-k) ln(1 + r_k(x))`` for each row, ``r_k`` being the
-    other atoms' mass over atom ``k``'s.
+    """``sum_k p_k f(x-k) ln(1 + r_k(x))`` for each column, ``r_k`` being
+    the other atoms' mass over atom ``k``'s; ``t`` is overwritten.
 
-    ``ln(1 + r_k)`` is ``logaddexp(0, ln r_k)``, never ``ln M(x) - t_k``, so
-    it keeps its relative accuracy where ``r_k`` is doubly-exponentially
-    small; a vanishing component contributes zero.  Only the dominant atom's
-    "others" sum is summed on its own; every other is the total minus its
-    own term, losing at most one bit (the sum is >= 1, the term <= 1).  A
-    row's total is ``exp(top + ln sum)``, which cannot overflow where
-    ``exp(top)`` would.
+    With ``top = max t_k``, ``d_k = top - t_k``, ``e_k = exp(-d_k)`` and
+    ``rest`` the sum of ``e_k`` over all atoms but one at ``d = 0`` (exact
+    ties add 1 each), every other atom has ``1 + r_k = (1 + rest) / e_k``,
+    so the sum is ``exp(top) ((1 + rest) log1p(rest) + sum_k e_k d_k)``.
+    Every term is >= 0, so nothing cancels, and the top atom's ``log1p`` is
+    exact where ``rest`` is doubly-exponentially small.  Padding, zero
+    components and columns with no mass get a finite ``d_k`` and ``e_k =
+    0``.  A column's value is ``exp(top + ln total)``, which cannot overflow
+    where ``exp(top)`` would.
     """
-    rows = np.arange(t.shape[0])
-    i = t.argmax(axis=1)
-    top = t[rows, i]
-    live = top > -np.inf
-    top[~live] = 0.0
-    e = np.exp(t - top[:, None])
-    e[rows, i] = 0.0
-    rest = e.sum(axis=1)
-    others = (rest[:, None] + 1.0) - e
-    others[rows, i] = rest
-    e[rows, i] = live
-    ln1p_ratio = np.logaddexp(0.0, np.log(others) + (top[:, None] - t))
-    total = (e * np.where(e > 0.0, ln1p_ratio, 0.0)).sum(axis=1)
+    top = t.max(axis=0)
+    t -= top
+    np.fmax(t, -sys.float_info.max, out=t)  # -inf - top, or nan: no mass
+    tie = t == 0.0
+    e = np.exp(t)
+    t *= e
+    e -= tie
+    rest = e.sum(axis=0) + np.maximum(tie.sum(axis=0) - 1, 0)
+    total = (1.0 + rest) * np.log1p(rest) - t.sum(axis=0)
     return np.exp(top + np.log(total))
 
 

@@ -196,12 +196,14 @@ class TestDeficit:
 
 
 # float.hex of (value, abs_error) of quadratures that converge on their
-# initial panels: the same bits as QUADPACK's dqagpe gave them, which
-# scipy.integrate.quad computed before the integrator moved into numpy
+# initial panels: the same bits as QUADPACK's dqagpe gave them on the same
+# integrand values, which scipy.integrate.quad computed before the
+# integrator moved into numpy; the deficit at sigma = 1 is 1 ulp above that,
+# from the summation order of its integrand's row form
 QUADRATURE_BIT_PINS = {
     ("deficit_direct", 0.45): ("0x1.3b0d4ec3d7904p-2", "0x1.ec44cb1200d16p-49"),
     ("mixture_entropy", 0.45): ("0x1.0183527125d04p+0", "0x1.925d30d0cb156p-47"),
-    ("deficit_direct", 1.0): ("0x1.29d7f36387503p-1", "0x1.d1616c4b836d5p-48"),
+    ("deficit_direct", 1.0): ("0x1.29d7f36387504p-1", "0x1.d1616c4b836d5p-48"),
     ("mixture_entropy", 1.0): ("0x1.87c5ac89341d0p+0", "0x1.32126ecb30b6ap-46"),
     ("deficit_direct", 4.0): ("0x1.5eec1b01a7a65p-1", "0x1.122875194af9fp-47"),
     ("mixture_entropy", 4.0): ("0x1.680fe454e3c88p+1", "0x1.194c6a6251f4ap-45"),
@@ -271,6 +273,83 @@ class TestFoldedQuadrature:
         assert dd.converged
         assert peak < 32 * 2**20
 
+
+
+@st.composite
+def atom_columns(draw):
+    """Columns of ``t = top - d`` over 1 to 24 atoms, atoms on axis 0.  A
+    column is empty (no mass: every ``d`` infinite), near (one atom at
+    ``d = 0``, the others at exact ties, ``d`` up to 40 or -inf padding) or
+    far (the others at ``d >= 700`` or padding, so ``sum exp(-d)`` over
+    them is below 1e-300), with ``top`` in [-300, 300]."""
+    width = draw(st.integers(1, 24))
+    others = {
+        "near": st.one_of(st.just(0.0), st.floats(0.0, 40.0), st.just(math.inf)),
+        "far": st.one_of(st.floats(700.0, 800.0), st.just(math.inf)),
+    }
+    cols = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(("empty", "near", "far")))
+        if kind == "empty":
+            d = [math.inf] * width
+        else:
+            d = [0.0] + draw(st.lists(others[kind], min_size=width - 1, max_size=width - 1))
+            d = [d[i] for i in draw(st.permutations(range(width)))]
+        cols.append(draw(st.floats(-300.0, 300.0)) - np.array(d))
+    return np.array(cols).T.copy()
+
+
+def logaddexp_deficit_rows(t):
+    """The deficit integrand on rows of atoms (``t`` is N x w), with
+    ``ln(1 + r_k) = logaddexp(0, ln r_k)`` per entry; returns the row
+    values, ``top`` and the total they are ``exp(top + ln total)`` of."""
+    rows = np.arange(t.shape[0])
+    i = t.argmax(axis=1)
+    top = t[rows, i]
+    live = top > -np.inf
+    top[~live] = 0.0
+    e = np.exp(t - top[:, None])
+    e[rows, i] = 0.0
+    rest = e.sum(axis=1)
+    others = (rest[:, None] + 1.0) - e
+    others[rows, i] = rest
+    e[rows, i] = live
+    ln1p_ratio = np.logaddexp(0.0, np.log(others) + (top[:, None] - t))
+    total = (e * np.where(e > 0.0, ln1p_ratio, 0.0)).sum(axis=1)
+    return np.exp(top + np.log(total)), top, total
+
+
+def assert_close_past_exp(got, want, top, log_sum, slack):
+    """``got`` within 8 ulp of ``slack``, the size ``want``'s relative errors
+    scale to, or both 0, beyond what the two share: each takes ``exp(top +
+    log_sum)``, and rounding that sum moves the exponential by up to the
+    spacing of its larger operand, relative."""
+    with np.errstate(invalid="ignore"):
+        move = np.spacing(np.maximum(np.abs(top), np.abs(log_sum)))
+        tol = 8 * np.spacing(slack) + 2 * move * slack
+        ok = ((got == 0) & (want == 0)) | (np.abs(got - want) <= tol)
+    assert ok.all(), (got[~ok], want[~ok])
+
+
+class TestIntegrandBodies:
+    @given(t=atom_columns())
+    def test_deficit_body_is_the_logaddexp_body(self, t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want, top, total = logaddexp_deficit_rows(t.T.copy())
+            got = entropy_mod._deficit_body(t.copy())
+            assert_close_past_exp(got, want, top, np.log(total), want)
+        assert np.all(got >= 0.0)
+
+    @given(t=atom_columns())
+    def test_entropy_body_is_minus_m_ln_m(self, t):
+        # M as a correctly rounded sum of the components, each below 2e130;
+        # -M ln M also carries ln M's absolute error, times M: slack |want| + M
+        m = np.array([math.fsum(np.exp(col)) for col in t.T])
+        top = t.max(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(m > 0, -(m * np.log(m)), 0.0)
+            got = entropy_mod._entropy_body(t.copy())
+            assert_close_past_exp(got, want, top, np.log(m) - top, np.abs(want) + m)
 
 class TestMcEntropy:
     def test_rejects_tiny_sample_count(self):
