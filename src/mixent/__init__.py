@@ -39,7 +39,6 @@ from .landauer import (
 )
 from .numerics import (
     DomainError,
-    InvalidInterval,
     QuadratureResult,
     gaussian_tail_lower,
     integrate,
@@ -57,7 +56,6 @@ __all__ = [
     "EntropyMethod",
     "EntropyValue",
     "GaussianDensity",
-    "InvalidInterval",
     "McConfig",
     "MixtureDensity",
     "QuadratureResult",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -138,9 +139,9 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _sigma_grid(args: argparse.Namespace) -> np.ndarray:
-    if not (0.0 < args.sigma_start <= args.sigma_end):
+    if not (0.0 < args.sigma_start <= args.sigma_end < math.inf):
         raise CliError(
-            f"need 0 < sigma-start <= sigma-end "
+            f"need 0 < sigma-start <= sigma-end < inf "
             f"(got {args.sigma_start!r}, {args.sigma_end!r})"
         )
     if args.steps < 1:
@@ -280,10 +281,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OverflowError, OSError) as exc:
+    except (CliError, ValueError, OverflowError, MemoryError, OSError) as exc:
         # ValueError covers bad laws and sample counts, OverflowError a
-        # scale too large to square or reach, OSError an unreadable --dist
-        # or unwritable --output: usage errors
+        # scale too large to square or reach, MemoryError a step or sample
+        # count too large to allocate, OSError an unreadable --dist or
+        # unwritable --output: usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,9 +5,9 @@ Quadrature is a globally adaptive 21-point Gauss-Kronrod rule in numpy:
 QUADPACK's ``dqk21`` (Piessens et al., 1983) applied to every panel at
 once, with the integrand called on all nodes of all new panels together.
 It bisects the panels with the largest error until the summed estimate
-meets ``max(_ABS_TOL, _REL_TOL * |value|)``.  Infinite endpoints are mapped
-onto ``(0, 1]`` by QUADPACK's ``x = a + (1 - t) / t``.  Results are never
-raised as convergence errors; a spent subdivision budget, or an error
+meets ``max(_ABS_TOL, _REL_TOL * |value|)``, on finite intervals only: the
+package integrates over one period of its folded integrands.  Results are
+never raised as convergence errors; a spent subdivision budget, or an error
 stuck at the round-off floor of every panel, is reported through
 ``QuadratureResult.converged`` so callers can decide.
 """
@@ -62,10 +62,6 @@ _NODES = np.concatenate([-_XGK[:10], _XGK[10::-1]])
 _KRONROD_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
 _EPS = 2.0**-52
 _UFLOW = 2.0**-1022
-
-
-class InvalidInterval(ValueError):
-    """Integration interval with ``a >= b``."""
 
 
 class DomainError(ValueError):
@@ -130,42 +126,30 @@ def integrate(
     b: float,
     points: Optional[Sequence[float]] = None,
 ) -> QuadratureResult:
-    """Integrate ``f`` over ``(a, b)`` (endpoints may be infinite).
+    """Integrate ``f`` over the finite interval ``(a, b)``.
 
     ``f`` maps a 1-D array of abscissae to the array of its values; it is
     called once per round, on the 21 nodes of every panel evaluated in that
-    round (on 42 abscissae per panel over the whole line, whose nodes stand
-    for ``x`` and ``-x``); ``evaluations`` counts them.  ``points`` marks
-    interior locations of spikes or kinks; the initial panels are the
-    intervals between them (finite intervals only).  Each round bisects the
-    panels with the largest error, as many as it takes for their errors to
-    cover the excess over the tolerance, and evaluates only the new halves.
-    A result is always returned; ``converged`` is False when the estimate
-    could not be brought below ``max(_ABS_TOL, _REL_TOL * |value|)``: the
-    budget of ``_MAX_SUBDIVISIONS`` panels ran out, or every panel's error
-    sits at its ``50 eps resabs`` round-off floor, which bisection cannot
-    lower.
+    round; ``evaluations`` counts them.  ``points`` marks interior locations
+    of spikes or kinks; the initial panels are the intervals between them.
+    Each round bisects the panels with the largest error, as many as it
+    takes for their errors to cover the excess over the tolerance, and
+    evaluates only the new halves.  A result is always returned;
+    ``converged`` is False when the estimate could not be brought below
+    ``max(_ABS_TOL, _REL_TOL * |value|)``: the budget of
+    ``_MAX_SUBDIVISIONS`` panels ran out, or every panel's error sits at its
+    ``50 eps resabs`` round-off floor, which bisection cannot lower.  An
+    infinite, NaN or empty interval raises ``ValueError``.
     """
-    if not a < b:
-        raise InvalidInterval(f"need a < b (got a={a!r}, b={b!r})")
-    g, edges, per_panel = f, [a, b], 21
-    if math.isinf(a) and math.isinf(b):
-        def g(t):
-            x = (1.0 - t) / t
-            fx = np.asarray(f(np.concatenate([x, -x])), dtype=float)
-            return (fx[: t.size] + fx[t.size :]) / (t * t)
-        edges, per_panel = [0.0, 1.0], 42
-    elif math.isinf(a) or math.isinf(b):
-        end, sign = (a, 1.0) if math.isinf(b) else (b, -1.0)
-        def g(t):
-            return np.asarray(f(end + sign * ((1.0 - t) / t)), dtype=float) / (t * t)
-        edges = [0.0, 1.0]
-    elif points is not None:
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"need finite a < b (got a={a!r}, b={b!r})")
+    edges = [a, b]
+    if points is not None:
         edges = [a] + sorted({float(p) for p in points if a < p < b}) + [b]
     lo = np.array(edges[:-1], dtype=float)
     hi = np.array(edges[1:], dtype=float)
-    value, err, floor = _gk21(g, lo, hi)
-    evaluations = per_panel * lo.size
+    value, err, floor = _gk21(f, lo, hi)
+    evaluations = 21 * lo.size
     while True:
         total = _sequential_sum(value)
         errsum = _sequential_sum(err)
@@ -182,8 +166,8 @@ def integrate(
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new = _gk21(g, new_lo, new_hi)
-        evaluations += per_panel * new_lo.size
+        new = _gk21(f, new_lo, new_hi)
+        evaluations += 21 * new_lo.size
         # the halves replace their panel; all stay in order of position
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
@@ -201,23 +185,28 @@ def integrate(
     )
 
 
-def lattice_sum(g: GaussianDensity, epsilon: float) -> float:
-    """``sum_{m in Z} f(epsilon + m)`` for the density of ``g``.
+def lattice_sum(g: GaussianDensity, epsilon: float | np.ndarray) -> float | np.ndarray:
+    """``sum_{m in Z} f(epsilon + m)`` for the density of ``g``, elementwise
+    over a scalar or an array ``epsilon`` (a float for a scalar).
 
     ``epsilon`` is first reduced modulo 1 to ``[-1/2, 1/2]`` (the sum is
-    shift invariant), then symmetric term pairs are accumulated outward over
-    ``m = 1 .. g.reach``, the quadratures' reach: every farther term
-    underflows to 0.
+    shift invariant).  The peak and the symmetric term pairs of
+    ``m = 1 .. g.reach``, the quadratures' reach (every farther term
+    underflows to 0), are laid along a trailing axis and added outward,
+    left to right, so each element has the bits of its own scalar call.
     """
     sigma = g.sigma
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    eps = float(epsilon) - round(float(epsilon))
-    total = math.exp(-(eps * eps) * inv2s2)
-    for m in range(1, g.reach + 1):
-        up = eps + m
-        dn = eps - m
-        total += math.exp(-(up * up) * inv2s2) + math.exp(-(dn * dn) * inv2s2)
-    return total / (_SQRT_2PI * sigma)
+
+    def term(x):
+        return np.exp(-(x * x) * inv2s2)
+
+    eps = np.asarray(epsilon, dtype=float)
+    eps = (eps - np.round(eps))[..., None]
+    m = np.arange(1, g.reach + 1)
+    terms = np.concatenate([term(eps), term(eps + m) + term(eps - m)], axis=-1)
+    total = np.add.accumulate(terms, axis=-1)[..., -1] / (_SQRT_2PI * sigma)
+    return float(total) if total.ndim == 0 else total
 
 
 def gaussian_tail_lower(z: float) -> float:

@@ -7,6 +7,7 @@ count changes no bit, and a failing report stops the pool early."""
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import mixent.bounds as bounds
@@ -54,6 +55,48 @@ def test_impossible_deficit_fails_the_check(monkeypatch, module, run, delta, quo
     result = run()
     assert result.passed is False
     assert quoted in result.detail
+
+
+@pytest.mark.parametrize(
+    "fake, quoted, absent",
+    [
+        # at 1/sigma everywhere: the strict bound fails at every sigma
+        (lambda g, eps: np.full(np.shape(eps), 1.0 / g.sigma), ">= 1/sigma",
+         "invariance"),
+        # grows with the nearest lattice point's square: even, not periodic
+        (lambda g, eps, _real=checks.lattice_sum: _real(g, eps)
+         + 1e-9 * np.round(eps) ** 2, "shift invariance broke", ">= 1/sigma"),
+        # periodic but odd
+        (lambda g, eps, _real=checks.lattice_sum: _real(g, eps)
+         + 1e-9 * np.sin(2.0 * np.pi * np.asarray(eps)), "reflection invariance broke",
+         "shift invariance"),
+    ],
+    ids=["at_the_bound", "not_shift_invariant", "not_even"],
+)
+def test_broken_lattice_sum_fails_the_check(monkeypatch, fake, quoted, absent):
+    monkeypatch.setattr(checks, "lattice_sum", fake)
+    result = checks.check_lattice_sum_bound()
+    assert result.passed is False
+    assert quoted in result.detail and absent not in result.detail
+
+
+def test_lattice_sum_bound_quotes_the_first_failing_eps_per_sigma(monkeypatch):
+    calls = []
+
+    def fake(g, eps):
+        calls.append(np.shape(eps))
+        return np.where(np.asarray(eps) > 4.0, 1.0 / g.sigma, 0.0)
+
+    monkeypatch.setattr(checks, "lattice_sum", fake)
+    detail = checks.check_lattice_sum_bound().detail
+    eps = np.random.default_rng(checks.LEMMA2_SEED).uniform(-5.0, 5.0, size=1000)
+    first = eps[np.flatnonzero(eps > 4.0)[0]]
+    assert detail.count(">= 1/sigma") == 10
+    assert detail.startswith(
+        f"sigma=0.05, eps={first!r}: lattice_sum 20.0 >= 1/sigma 20.0; sigma=0.1,"
+    )
+    # one call per sigma for the bound, two for the invariances
+    assert calls[:10] == [(1000,)] * 10 and len(calls) == 12
 
 
 def test_fair_bernoulli_deficits_are_computed_once(monkeypatch):

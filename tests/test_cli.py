@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -444,3 +445,36 @@ def test_scale_beyond_a_double_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert re.search(r"sigma \S+ is outside \[2\*\*-511, 2\*\*512\)", err), err
+
+
+@pytest.mark.parametrize("start, end", [("0.2", "inf"), ("inf", "inf"), ("nan", "1")])
+def test_non_finite_sigma_range_exits_2_with_one_line(capsys, start, end):
+    # rejected before np.geomspace, which would warn on an infinite end
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "sweep", "--sigma-start", start, "--sigma-end", end,
+            "--steps", "3", "--dist", FAIR_JSON,
+        )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sigma-end" in err
+
+
+# 10**17 doubles are 711 PiB, beyond any address space: the allocation
+# fails at once and is never attempted for real
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sigma-start", "0.2", "--sigma-end", "1",
+         "--steps", "100000000000000000", "--dist", FAIR_JSON],
+        ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
+         "--mc-samples", "100000000000000000"],
+    ],
+    ids=["sweep_steps", "entropy_mc_samples"],
+)
+def test_count_too_large_to_allocate_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "allocate" in err
