@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -202,7 +203,12 @@ def cmd_landauer(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- main --
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mixent`` argument parser, built on the first call and shared by
+    every later call and every ``main`` in the process: do not mutate it.
+    Its ``set_defaults(func=cmd_*)`` binds the command functions as they
+    are at that first build."""
     parser = argparse.ArgumentParser(
         prog="mixent",
         description=(

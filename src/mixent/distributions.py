@@ -203,7 +203,11 @@ class GaussianDensity:
         return 0.5 * math.log(scaled)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, size=n)
+        # the bits of rng.normal(0.0, sigma, n), which is 0 + sigma * z on
+        # this stream, without its per-draw loc and scale
+        z = rng.standard_normal(n)
+        z *= self.sigma
+        return z
 
 
 @dataclass(frozen=True)
@@ -243,10 +247,16 @@ def tail_mass(g: GaussianDensity, z: float) -> float:
 def _log_sum_exp(t: np.ndarray) -> np.ndarray:
     """``ln sum exp(t)`` over the atoms on axis 0, shifted by their maximum
     so that nothing overflows; a column of ``-inf`` gives ``-inf``.  Works
-    in place: ``t`` is overwritten."""
+    in place: ``t`` is overwritten.
+
+    After the shift every column with mass holds an exact 1, so a term
+    below ``e^-700`` (~1e-304) cannot move its sum; such terms are taken to
+    ``-inf`` first, because ``np.exp`` is many times slower where its
+    result is subnormal or underflows than at ``-inf``."""
     top = t.max(axis=0, keepdims=True)
     top[top == -np.inf] = 0.0
     t -= top
+    np.copyto(t, -np.inf, where=t < -700.0)
     np.exp(t, out=t)
     with np.errstate(divide="ignore"):
         return top[0] + np.log(t.sum(axis=0))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -382,6 +383,45 @@ def test_one_mc_sample_exits_2_before_any_quadrature(capsys, integrate_calls, ar
     assert out == ""
     assert "mc-samples 1" in err and "samples must be >= 2" in err
     assert integrate_calls == []
+
+
+def test_main_reuses_one_parser_per_process(capsys, monkeypatch):
+    """Calls of every kind, a usage error among them, give the same output
+    and exit code on every round, and all of them share one parser tree."""
+    entropy = ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON, "--format", "json"]
+    sequence = [
+        entropy,
+        ["entropy", "--sigma", "0.25"],  # no --dist: argparse exits 2
+        SWEEP_FAIR + ["--format", "csv"],
+        ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5"],
+        entropy,
+    ]
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code,) + tuple(capsys.readouterr())
+
+    first = [run(argv) for argv in sequence]
+    one_tree = len(built)
+    second = [run(argv) for argv in sequence]
+    assert [r[0] for r in first] == [0, 2, 0, 0, 0]
+    assert "--dist" in first[1][2]
+    assert first[4] == first[0]
+    assert second == first
+    assert one_tree > 0 and built.count("mixent") == 1 and len(built) == one_tree
+    assert build_parser.cache_info().misses == 1
 
 
 def test_readme_invocations_parse():

@@ -20,6 +20,7 @@ from mixent.distributions import (
     GaussianDensity,
     MixtureDensity,
     UniformDensity,
+    _log_sum_exp,
     tail_mass,
 )
 from mixent.entropy import McConfig, mc_entropy
@@ -184,6 +185,12 @@ class TestGaussianDensity:
         xs = np.linspace(-4, 4, 17)
         assert np.allclose(g.log_pdf(xs), [g.log_pdf(x) for x in xs], rtol=1e-15)
 
+    @pytest.mark.parametrize("sigma", [1e-100, 0.05, 0.25, 1.0, 3.7, 1e150])
+    def test_sample_has_the_bits_of_rng_normal(self, sigma):
+        got = GaussianDensity(sigma).sample(np.random.default_rng(5), 10**5)
+        want = np.random.default_rng(5).normal(0.0, sigma, size=10**5)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_normalizes(self):
         g = GaussianDensity(0.7)
         qr = integrate(lambda x: np.exp(g.log_pdf(x)), -28.0, 28.0)
@@ -326,6 +333,34 @@ class TestMixtureLogDensity:
 def _geometric_law(k: int) -> DiscreteLattice:
     w = 0.5 ** np.arange(k) + 0.1
     return DiscreteLattice(tuple(range(k)), tuple(w / w.sum()))
+
+
+def _log_sum_exp_unclamped(t: np.ndarray) -> np.ndarray:
+    """The max-shifted log-sum-exp with every term exponentiated."""
+    top = t.max(axis=0, keepdims=True)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return top[0] + np.log(np.exp(t - top).sum(axis=0))
+
+
+# columns that mix ordinary log-terms with ones whose exp, after the shift,
+# is tiny, subnormal or 0: the terms that _log_sum_exp takes to -inf
+_log_term = st.one_of(
+    st.floats(-760.0, -690.0), st.floats(-40.0, 5.0), st.just(-math.inf)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    columns=st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(_log_term, min_size=k, max_size=k), min_size=1, max_size=8)
+    )
+)
+def test_log_sum_exp_clamp_keeps_the_bits(columns):
+    t = np.ascontiguousarray(np.array(columns).T)  # atoms on axis 0
+    want = _log_sum_exp_unclamped(t)
+    got = _log_sum_exp(t.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestLogDensityKernel:
