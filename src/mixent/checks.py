@@ -31,6 +31,7 @@ from .distributions import (
 )
 from .entropy import (
     McConfig,
+    _mc_estimate,
     deficit_direct,
     deficit_via_identity,
     entropy_report,
@@ -47,6 +48,7 @@ DELTA_INTERVAL_AT_025 = (0.0140330, 0.4858927)  # closed-form envelope, rounded
 
 LEMMA2_SEED = 1894772156
 MC_SEED_BASE = 20260809
+MC_NOISE_SEED = MC_SEED_BASE - 1  # validate's shared noise; no pair's seed
 
 SHARPNESS_GRID = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
 BIG_SIGMA_GRID = (0.5, 1.0, 2.0, 4.0)
@@ -94,16 +96,16 @@ def check_identity(rows: Sequence[tuple[str, float, dict]]) -> CheckResult:
         diff = abs(dd.nats - di.nats)
         budget = dd.abs_error + di.abs_error
         worst = max(worst, diff)
-        if diff > budget:
+        if not diff <= budget:
             failures.append(
                 f"{label}, sigma={sigma}: |direct - identity| = {diff:.3e} "
                 f"> combined errors {budget:.3e}"
             )
-        if diff > 1e-8:
+        if not diff <= 1e-8:
             failures.append(
                 f"{label}, sigma={sigma}: |direct - identity| = {diff:.3e} > 1e-8"
             )
-        if dd.nats < -1e-10:
+        if not dd.nats >= -1e-10:
             failures.append(
                 f"{label}, sigma={sigma}: deficit {dd.nats:.3e} < -1e-10"
             )
@@ -151,7 +153,7 @@ def check_bound_chain(reports: Sequence[BoundReport]) -> CheckResult:
             (r.lemma1, split, "lemma1 <= lemma3+lemma4"),
             (split, r.thm1, "lemma3+lemma4 <= theorem1"),
         ):
-            if hi - lo < -1e-10:
+            if not hi - lo >= -1e-10:
                 failures.append(
                     f"sigma={r.sigma}: {what} violated ({lo:.9e} vs {hi:.9e})"
                 )
@@ -294,7 +296,7 @@ def check_mc_agreement(
     for label, sigma, q in rows:
         hq, hmc = q["h_mixture"], q["h_mc"]
         gap = abs(hmc.nats - hq.nats)
-        if gap > 4.0 * hmc.abs_error:
+        if not gap <= 4.0 * hmc.abs_error:
             failures.append(
                 f"{label}, sigma={sigma}: |mc - quadrature| = {gap:.3e} "
                 f"> 4 SE = {4.0 * hmc.abs_error:.3e}"
@@ -329,21 +331,38 @@ def _worker_count(jobs: int) -> int:
     return min(cpus, jobs)
 
 
+def _grid_report(
+    z: DiscreteLattice, g: GaussianDensity, mc: McConfig, noise: np.ndarray
+) -> dict:
+    """``entropy_report(z, g)`` and its ``h_mc``: the atom counts drawn as
+    ``MixtureDensity.sample`` draws them, from ``mc.seed``, and the noise
+    ``noise * g.sigma``.  The two are independent streams, so the estimate
+    is an exact sample of its own mixture."""
+    report = entropy_report(z, g)
+    counts = np.random.default_rng(mc.seed).multinomial(mc.samples, z.probs)
+    report["h_mc"] = _mc_estimate(MixtureDensity(g, z), counts, noise, g.sigma)
+    return report
+
+
 def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
     """Run every named check; order is fixed and deterministic.
 
     The three fair-Bernoulli bound checks judge one set of sandwich
     reports, one row per sigma.  The identity and Monte Carlo checks judge
-    one entropy report per (law, sigma) of the grid; pair ``i`` in
-    law-major order draws its samples with seed ``MC_SEED_BASE + i``; the
-    sample configs are built first, so a bad ``mc_samples`` stops the run
-    before any quadrature.
+    one entropy report per (law, sigma) of the grid.  The sample configs
+    are built first, so a bad ``mc_samples`` stops the run before any
+    quadrature, and then the ``mc_samples`` standard normals are drawn
+    once, with seed ``MC_NOISE_SEED``, so a count too large to allocate
+    fails before any report.  Pair ``i`` in law-major order draws its atom
+    counts with seed ``MC_SEED_BASE + i`` and scales the shared draw by its
+    own sigma (common random numbers across the grid); each estimate holds
+    one chunk-sized buffer besides it.
 
     The entropy reports run on a thread pool of one worker per usable CPU
     (numpy releases the GIL in the sampling and the kernel), collected in
-    grid order.  Each pair has its own seed, so the results are the same
-    bits at any worker count.  If a report raises, or on Ctrl-C, the
-    reports not yet started are cancelled.
+    grid order.  No report draws from another's stream, so the results
+    are the same bits at any worker count.  If a report raises, or on
+    Ctrl-C, the reports not yet started are cancelled.
     """
     # imported here: at module level it would slow ``import mixent.cli``
     from concurrent.futures import ThreadPoolExecutor
@@ -351,12 +370,13 @@ def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
     laws = grid_laws()
     pairs = [(label, s) for label in laws for s in IDENTITY_SIGMA_GRID]
     configs = [McConfig(mc_samples, MC_SEED_BASE + i) for i in range(len(pairs))]
+    noise = np.random.default_rng(MC_NOISE_SEED).standard_normal(mc_samples)
     fair = DiscreteLattice.bernoulli(0.5)
     reports = [sandwich_report(fair, s) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
 
     def row(pair: tuple[str, float], mc: McConfig) -> tuple[str, float, dict]:
         label, s = pair
-        return label, s, entropy_report(laws[label], GaussianDensity(s), mc)
+        return label, s, _grid_report(laws[label], GaussianDensity(s), mc, noise)
 
     pool = ThreadPoolExecutor(_worker_count(len(pairs)))
     try:

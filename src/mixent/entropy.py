@@ -65,6 +65,8 @@ class EntropyValue:
 # Monte Carlo evaluates the mixture in blocks of at most this many (atom,
 # sample) cells: 1 MiB per temporary, which keeps them in cache.
 MC_BLOCK_CELLS = 2**17
+# ... and reduces its log-densities in chunks of this many samples, 2 MiB.
+MC_CHUNK_SAMPLES = 2**18
 # The folded integrands evaluate their (atom, node, cell) entries in slices
 # of at most this many.  On a 2-vCPU x86 host, both quadratures on 18 laws
 # of <= 24 atoms took 43.7, 42.6, 47.6 and 46.2 ms at 2**13 to 2**16 (median
@@ -249,35 +251,64 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
     the error estimate.  Same seed, same result, bit for bit.
 
     ``MixtureDensity.sample`` draws the atom counts by one multinomial and
-    the noise apart from them.  A sample of atom ``a`` is evaluated in exact
-    coordinates, against atom ``k`` at ``noise + (a - k)``, so the own-atom
-    term sees the noise itself even where ``a + noise`` would round to
-    ``a``.  Each atom's run of samples goes through the kernel in blocks of
-    at most ``MC_BLOCK_CELLS`` (atom, sample) cells, and its log-densities
-    overwrite the noise they came from: the estimate holds one array of N
-    doubles for any number of atoms K, not O(K N), and a block's
-    temporaries stay near cache size.  The mean and the variance are
-    reduced in that array too, by the operations of ``np.mean`` and
-    ``np.std(ddof=1)``, so the bits are theirs.  The stream differs from
-    that of earlier versions, which drew each sample's atom by
-    ``rng.choice``.
+    the noise apart from them; ``_mc_estimate`` reduces them in the noise
+    array itself, so the estimate holds one array of N doubles for any
+    number of atoms K, not O(K N).  The stream differs from that of earlier
+    versions, which drew each sample's atom by ``rng.choice``.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.samples
-    counts, noise = m.sample(rng, n)
-    ld = noise  # each block overwrites the noise it was computed from
+    counts, noise = m.sample(np.random.default_rng(cfg.seed), cfg.samples)
+    return _mc_estimate(m, counts, noise)
+
+
+def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
+    """The Monte Carlo estimate of ``h(m)`` from the atom counts and the
+    noise of ``m.sample``, or, given ``scale``, from the noise ``noise *
+    scale`` (``noise`` is then only read, and the bits are those of the
+    estimate given ``noise * scale``).
+
+    A sample of atom ``a`` is evaluated in exact coordinates, against atom
+    ``k`` at ``noise + (a - k)``, so the own-atom term sees the noise itself
+    even where ``a + noise`` would round to ``a``.  The sample is walked in
+    chunks of ``MC_CHUNK_SAMPLES``, each held in one chunk-sized buffer:
+    the noise array itself, or, given ``scale``, one array that receives
+    each chunk's scaled noise.  Each atom's run within a chunk goes through
+    the kernel in blocks of at most ``MC_BLOCK_CELLS`` (atom, sample)
+    cells, and its log-densities overwrite the noise they came from.
+    A chunk's mean and sum of squared deviations are reduced by the
+    operations of ``np.mean`` and ``np.std(ddof=1)`` and merged into the
+    running totals by the pairwise update of Chan, Golub and LeVeque, so
+    for N <= ``MC_CHUNK_SAMPLES`` the bits are numpy's.
+    """
+    n = noise.size
+    buf = None if scale is None else np.empty(min(n, MC_CHUNK_SAMPLES))
     step = max(1, MC_BLOCK_CELLS // len(counts))
-    end = 0
-    for atom, count in zip(m.lattice.support, counts.tolist()):
-        start, end = end, end + count
-        for lo in range(start, end, step):
-            hi = min(lo + step, end)
-            ld[lo:hi] = m._log_density_at(atom, noise[lo:hi])
-    mean = np.add.reduce(ld) / n
-    ld -= mean
-    ld *= ld
+    ends = np.cumsum(counts).tolist()
+    runs = list(zip(m.lattice.support, [0] + ends[:-1], ends))
+    mean = m2 = 0.0
+    for c0 in range(0, n, MC_CHUNK_SAMPLES):
+        c1 = min(c0 + MC_CHUNK_SAMPLES, n)
+        ld = noise[c0:c1]
+        if scale is not None:
+            ld = np.multiply(ld, scale, out=buf[: c1 - c0])
+        # each block's log-densities overwrite the noise they came from
+        for atom, start, end in runs:
+            stop = min(end, c1) - c0
+            for lo in range(max(start - c0, 0), stop, step):
+                hi = min(lo + step, stop)
+                ld[lo:hi] = m._log_density_at(atom, ld[lo:hi])
+        k = c1 - c0
+        chunk_mean = np.add.reduce(ld) / k
+        ld -= chunk_mean
+        ld *= ld
+        chunk_m2 = np.add.reduce(ld)
+        if c0 == 0:
+            mean, m2 = chunk_mean, chunk_m2
+        else:
+            d = chunk_mean - mean
+            mean += d * (k / c1)
+            m2 += chunk_m2 + d * d * (c0 * k / c1)
     nats = -float(mean)
-    se = float(np.sqrt(np.add.reduce(ld) / (n - 1)) / math.sqrt(n))
+    se = float(np.sqrt(m2 / (n - 1)) / math.sqrt(n))
     return EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)
 
 

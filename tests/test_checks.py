@@ -1,11 +1,14 @@
 """The validate checks report a broken inequality as a failure, quoting it,
 the fair-Bernoulli bound checks share one deficit per sigma, and the
 identity and Monte Carlo checks share one mixture entropy per law and sigma.
-The entropy reports run on a pool of one worker per usable CPU; the worker
-count changes no bit, and a failing report stops the pool early."""
+The entropy reports run on a pool of one worker per usable CPU; they share
+one noise draw, the worker count changes no bit, and a failing report stops
+the pool early."""
 
+import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,14 +43,21 @@ def _judge_entropy_rows(check):
         # far from the identity route, which does not call deficit_direct
         (entropy, _judge_entropy_rows(checks.check_identity), 10.0,
          "> combined errors"),
+        # every comparison with NaN is False: each test is the negation of
+        # the condition that must hold
+        (entropy, _judge_entropy_rows(checks.check_identity), math.nan,
+         "> combined errors"),
         # above Theorem 1 at every sigma of the grid
         (bounds, _judge_reports(checks.check_sharpness_sandwich), 10.0, "<= upper"),
         (bounds, _judge_reports(checks.check_bound_chain), 10.0,
          "delta <= lemma1 violated"),
+        (bounds, _judge_reports(checks.check_bound_chain), math.nan,
+         "delta <= lemma1 violated"),
         # negative, below ln 2 * Q(1/(2 sigma))
         (bounds, _judge_reports(checks.check_big_sigma_lower), -1.0, ">= bound"),
     ],
-    ids=["identity", "sharpness_sandwich", "bound_chain", "big_sigma_lower"],
+    ids=["identity", "identity_nan", "sharpness_sandwich", "bound_chain",
+         "bound_chain_nan", "big_sigma_lower"],
 )
 def test_impossible_deficit_fails_the_check(monkeypatch, module, run, delta, quoted):
     impossible = EntropyValue(delta, EntropyMethod.QUADRATURE, 1e-12)
@@ -55,6 +65,19 @@ def test_impossible_deficit_fails_the_check(monkeypatch, module, run, delta, quo
     result = run()
     assert result.passed is False
     assert quoted in result.detail
+
+
+@pytest.mark.parametrize("nats, se", [(math.nan, 1e-3), (1.0, math.nan)],
+                         ids=["nan_estimate", "nan_standard_error"])
+def test_nan_monte_carlo_fails_the_check(nats, se):
+    rows = [("fair", s, entropy.entropy_report(FAIR, GaussianDensity(s)))
+            for s in (0.1, 0.25)]
+    rows[1][2]["h_mc"] = EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)
+    rows[0][2]["h_mc"] = rows[0][2]["h_mixture"]
+    result = checks.check_mc_agreement(rows, 100)
+    assert result.passed is False
+    assert result.detail.startswith("fair, sigma=0.25: |mc - quadrature| = ")
+    assert "> 4 SE" in result.detail
 
 
 @pytest.mark.parametrize(
@@ -146,23 +169,23 @@ def test_one_worker_per_usable_cpu_at_most_one_per_pair(monkeypatch):
     assert checks._worker_count(20) == 1
 
 
-def _run_on(cpus):
-    """``run_all_checks`` at N=5000 on ``cpus`` CPUs (None: this host's);
+def _run_on(cpus, n):
+    """``run_all_checks`` at N=``n`` on ``cpus`` CPUs (None: this host's);
     also every entropy report it built, by seed, and the threads that built
     them."""
     reports, threads = {}, set()
-    real = checks.entropy_report
+    real = checks._grid_report
 
-    def recording(z, base, mc):
+    def recording(z, base, mc, noise):
         threads.add(threading.get_ident())
-        reports[mc.seed] = report = real(z, base, mc)
+        reports[mc.seed] = report = real(z, base, mc, noise)
         return report
 
     with pytest.MonkeyPatch.context() as mp:
         if cpus is not None:
             _pin_cpus(mp, cpus)
-        mp.setattr(checks, "entropy_report", recording)
-        results = checks.run_all_checks(mc_samples=5000)
+        mp.setattr(checks, "_grid_report", recording)
+        results = checks.run_all_checks(mc_samples=n)
     return results, reports, threads
 
 
@@ -172,11 +195,13 @@ def _bits(report):
 
 
 def test_worker_count_changes_no_bit():
-    serial, serial_reports, serial_threads = _run_on(1)
+    # two chunks per estimate, so the chunk merge runs too
+    n = entropy.MC_CHUNK_SAMPLES + 5000
+    serial, serial_reports, serial_threads = _run_on(1, n)
     assert len(serial_threads) == 1
     assert len(serial_reports) == 20
     for cpus in (None, 4):
-        results, reports, threads = _run_on(cpus)
+        results, reports, threads = _run_on(cpus, n)
         assert results == serial
         if cpus is not None:
             assert len(threads) <= cpus
@@ -190,14 +215,73 @@ def test_a_failing_report_cancels_the_queued_ones(monkeypatch):
     # must not start all 20 before the error comes back
     calls = []
 
-    def failing(z, base, mc):
+    def failing(z, base, mc, noise):
         calls.append(mc.seed)
         if mc.seed == checks.MC_SEED_BASE:
             raise RuntimeError("pair 0 broke")
         time.sleep(0.02)
 
     _pin_cpus(monkeypatch, 2)
-    monkeypatch.setattr(checks, "entropy_report", failing)
+    monkeypatch.setattr(checks, "_grid_report", failing)
     with pytest.raises(RuntimeError, match="pair 0 broke"):
         checks.run_all_checks(mc_samples=2)
     assert len(calls) < 6, calls
+
+
+class _CountingRng:
+    """A ``np.random.Generator`` that records the size of each
+    ``standard_normal`` draw."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size):
+        self._draws.append(size)
+        return self._rng.standard_normal(size)
+
+
+def test_the_grid_draws_its_normals_once(monkeypatch):
+    draws, seeds = [], []
+    real = np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return _CountingRng(real(seed), draws)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    results = checks.run_all_checks(mc_samples=5000)
+    assert all(r.passed for r in results)
+    assert draws == [5000]
+    # the shared draw's seed is no pair's; each pair draws its counts
+    assert seeds.count(checks.MC_NOISE_SEED) == 1
+    pair_seeds = [checks.MC_SEED_BASE + i for i in range(20)]
+    assert checks.MC_NOISE_SEED not in pair_seeds
+    assert sorted(s for s in seeds if s in pair_seeds) == pair_seeds
+
+
+def test_the_grid_holds_one_draw_and_a_few_mib_per_worker(monkeypatch):
+    # 4 workers on one 8 MiB draw: each holds a 2 MiB chunk buffer and its
+    # kernel blocks, where an own noise array each would add 32 MiB
+    _pin_cpus(monkeypatch, 4)
+    n = 2**20
+    checks.run_all_checks(mc_samples=2)  # lazy imports
+    tracemalloc.start()
+    try:
+        checks.run_all_checks(mc_samples=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 4 * 6 * 2**20
+
+
+def test_an_unallocatable_sample_count_fails_before_any_report(monkeypatch):
+    # 10**17 doubles are 711 PiB: the shared draw fails at once
+    calls = []
+    monkeypatch.setattr(bounds, "deficit_direct", lambda *args: calls.append(args))
+    monkeypatch.setattr(checks, "_grid_report", lambda *args: calls.append(args))
+    with pytest.raises(MemoryError):
+        checks.run_all_checks(mc_samples=10**17)
+    assert calls == []

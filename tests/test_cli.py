@@ -510,8 +510,9 @@ def test_non_finite_sigma_range_exits_2_with_one_line(capsys, start, end):
          "--steps", "100000000000000000", "--dist", FAIR_JSON],
         ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
          "--mc-samples", "100000000000000000"],
+        ["validate", "--mc-samples", "100000000000000000"],
     ],
-    ids=["sweep_steps", "entropy_mc_samples"],
+    ids=["sweep_steps", "entropy_mc_samples", "validate_mc_samples"],
 )
 def test_count_too_large_to_allocate_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -23,6 +23,7 @@ from mixent.distributions import (
 )
 from mixent.entropy import (
     MC_BLOCK_CELLS,
+    MC_CHUNK_SAMPLES,
     EntropyMethod,
     McConfig,
     deficit_direct,
@@ -442,12 +443,15 @@ class TestMcEntropy:
         assert est.nats == -float(np.mean(ld))
         assert est.abs_error == float(np.std(ld, ddof=1) / math.sqrt(n))
 
-    def test_zero_count_atom_and_partial_blocks_match_scipy(self):
+    @staticmethod
+    def _against_scipy(n, seed):
+        """``mc_entropy`` at ``n`` samples of a law with a 1e-12-weight atom
+        against one full-array scipy evaluation of the same sample; the
+        atom counts."""
         z = DiscreteLattice((-2, 0, 5), (0.6, 1e-12, 0.4 - 1e-12))
-        sigma, n, seed = 0.8, 3 * (MC_BLOCK_CELLS // 3) + 7, 4
+        sigma = 0.8
         m = MixtureDensity(GaussianDensity(sigma), z)
         counts, noise = m.sample(np.random.default_rng(seed), n)
-        assert counts[1] == 0 and counts[0] > MC_BLOCK_CELLS // 3
         atoms = np.repeat(z.support, counts)
         shifts = atoms[None, :] - np.reshape(z.support, (-1, 1))
         want = logsumexp(
@@ -457,3 +461,30 @@ class TestMcEntropy:
         est = mc_entropy(m, McConfig(n, seed))
         assert est.nats == pytest.approx(-np.mean(want), rel=1e-14)
         assert est.abs_error == pytest.approx(np.std(want, ddof=1) / math.sqrt(n), rel=1e-12)
+        return counts
+
+    def test_zero_count_atom_and_partial_blocks_match_scipy(self):
+        counts = self._against_scipy(3 * (MC_BLOCK_CELLS // 3) + 7, 4)
+        assert counts[1] == 0 and counts[0] > MC_BLOCK_CELLS // 3
+
+    def test_chunk_merge_matches_scipy(self):
+        # three chunks, the last of 7 samples; both atom runs cross an edge
+        counts = self._against_scipy(2 * MC_CHUNK_SAMPLES + 7, 4)
+        assert counts[1] == 0
+        assert MC_CHUNK_SAMPLES < counts[0] < 2 * MC_CHUNK_SAMPLES
+
+    def test_scaled_noise_has_the_bits_of_the_noise_it_stands_for(self):
+        # validate's rows scale one shared draw by their own sigma, a chunk
+        # at a time, and leave the draw as it was
+        z = DiscreteLattice((-2, 0, 5), (0.6, 1e-12, 0.4 - 1e-12))
+        sigma, n = 0.8, 2 * MC_CHUNK_SAMPLES + 7
+        m = MixtureDensity(GaussianDensity(sigma), z)
+        rng = np.random.default_rng(12)
+        counts = rng.multinomial(n, z.probs)
+        shared = rng.standard_normal(n)
+        kept = shared.copy()
+        got = entropy_mod._mc_estimate(m, counts, shared, sigma)
+        want = entropy_mod._mc_estimate(m, counts, shared * sigma)
+        assert (got.nats.hex(), got.abs_error.hex()) == (
+            want.nats.hex(), want.abs_error.hex())
+        assert np.array_equal(shared, kept)
