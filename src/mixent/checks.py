@@ -184,7 +184,7 @@ def check_lattice_sum_bound() -> CheckResult:
     base = lattice_sum(g, eps)
     # rows: eps shifted by each of ``shifts``, then mirrored
     moved = lattice_sum(g, np.vstack([eps + np.array(shifts)[:, None], -eps]))
-    broke = np.abs(base - moved) > 1e-13 * np.maximum(1.0, np.abs(base))
+    broke = ~(np.abs(base - moved) <= 1e-13 * np.maximum(1.0, np.abs(base)))
     for i, j in zip(*np.nonzero(broke.T)):
         if j < len(shifts):
             failures.append(
@@ -205,7 +205,7 @@ def check_big_sigma_lower(reports: Sequence[BoundReport]) -> CheckResult:
     rows = [r for r in reports if r.bigsig_lb is not None]
     failures = []
     ref = next(r.bigsig_lb for r in rows if r.sigma == 1.0)
-    if abs(ref - BIG_SIGMA_LB_AT_1) > 1e-6:
+    if not abs(ref - BIG_SIGMA_LB_AT_1) <= 1e-6:
         failures.append(
             f"lower bound at sigma=1 is {ref!r}, expected {BIG_SIGMA_LB_AT_1} +- 1e-6"
         )
@@ -231,7 +231,7 @@ def check_rate_match() -> CheckResult:
         ratio = theorem1_upper_bound(sigma) / bernoulli_lower_bound(sigma)
         rational = (0.5 / sigma + 7.0) / (_LN2 * (2.0 * sigma - 8.0 * sigma**3))
         rel = abs(ratio - rational) / rational
-        if rel > 1e-12:
+        if not rel <= 1e-12:
             failures.append(
                 f"sigma={sigma}: ratio {ratio!r} vs rational {rational!r} "
                 f"(rel err {rel:.3e} > 1e-12)"
@@ -246,8 +246,8 @@ def check_landauer() -> CheckResult:
     for sigma_eff in sigmas:
         rr = reset_report(BitMemoryModel(mu=0.5, sigma=sigma_eff, p1=0.5))
         env = rr.envelope
-        if sigma_eff == 0.1 and (
-            abs(env - THM1_ENVELOPE_AT_01) > 1e-12 * THM1_ENVELOPE_AT_01
+        if sigma_eff == 0.1 and not (
+            abs(env - THM1_ENVELOPE_AT_01) <= 1e-12 * THM1_ENVELOPE_AT_01
         ):
             failures.append(
                 f"envelope at sigma_eff=0.1 is {env!r}, "
@@ -257,7 +257,7 @@ def check_landauer() -> CheckResult:
             failures.append(f"NonConvergence at sigma_eff={sigma_eff}")
             continue
         gap = abs(rr.delta_h - _LN2)
-        if gap > env:
+        if not gap <= env:
             failures.append(
                 f"sigma_eff={sigma_eff}: |delta_h - ln2| = {gap:.3e} "
                 f"> envelope {env:.3e}"
@@ -271,18 +271,18 @@ def check_equality_cases() -> CheckResult:
     g = GaussianDensity(0.25)
     point = DiscreteLattice.point_mass(0)
     dd = deficit_direct(point, g)
-    if abs(dd.nats) > 1e-12:
+    if not abs(dd.nats) <= 1e-12:
         failures.append(f"point mass: direct deficit {dd.nats!r} not 0 within 1e-12")
     di = deficit_via_identity(point, g)
-    if abs(di.nats) > 1e-10:
+    if not abs(di.nats) <= 1e-10:
         failures.append(f"point mass: identity deficit {di.nats!r} not 0 within 1e-10")
     z = DiscreteLattice.bernoulli(0.5)
     u = UniformDensity(0.25)
     hm = mixture_entropy(MixtureDensity(u, z))
-    if abs(hm.nats) > 1e-12:
+    if not abs(hm.nats) <= 1e-12:
         failures.append(f"uniform base: h(X+Z) = {hm.nats!r} not 0 within 1e-12")
     du = deficit_via_identity(z, u, hm)
-    if abs(du.nats) > 1e-12:
+    if not abs(du.nats) <= 1e-12:
         failures.append(f"uniform base: deficit {du.nats!r} not 0 within 1e-12")
     return _result("equality_cases", failures, "both equality cases exact")
 
@@ -314,7 +314,7 @@ def check_tail_inequality() -> CheckResult:
     for z in np.linspace(1.01, 10.0, 200):
         margin = tail_mass(g, z) - gaussian_tail_lower(z)
         worst = min(worst, margin)
-        if margin < 0.0:
+        if not margin >= 0.0:
             failures.append(f"z={z!r}: tail bound exceeds tail by {-margin:.3e}")
             break
     return _result(

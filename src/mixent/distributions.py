@@ -94,8 +94,6 @@ class DiscreteLattice:
         pairs = sorted(
             ((k, p / total) for k, p in zip(cleaned, probs) if p > 0.0),
         )
-        if not pairs:
-            raise DistributionError("all probabilities are zero")
         ks = [k for k, _ in pairs]
         if len(set(ks)) != len(ks):
             raise DistributionError(f"support entries are not distinct: {ks}")
@@ -269,31 +267,25 @@ class MixtureDensity:
     base: BaseDensity
     lattice: DiscreteLattice
 
-    def log_density(self, x):
-        """``ln sum_k p_k f(x - k)`` via max-shifted log-sum-exp.
+    def log_density(self, x, atom: int = 0):
+        """``ln sum_k p_k f(atom + x - k)`` via max-shifted log-sum-exp, with
+        component ``k`` evaluated at ``x + (atom - k)``: the shift is an
+        exact integer, so an ``x`` far below the spacing of doubles at
+        ``atom`` keeps its digits.  The components form one K x N array,
+        atoms on axis 0, reduced in place over the atoms: adding K
+        contiguous rows is much faster than summing N rows of length K.
 
         Returns ``-inf`` only when every component is a true zero (uniform
         base outside its support); for a Gaussian base the value is finite at
         any finite ``x``.  Accepts scalars or arrays and keeps their shape.
         """
-        return self._log_density_at(0, x)
-
-    def _log_density_at(self, atom: int, u):
-        """``ln sum_k p_k f(atom + u - k)``, with component ``k`` evaluated at
-        ``u + (atom - k)``: the shift is an exact integer, so a ``u`` far
-        below the spacing of doubles at ``atom`` keeps its digits.  With
-        ``atom = 0`` this is ``log_density``, bit for bit.  The components
-        form one K x N array, atoms on axis 0, reduced in place over the
-        atoms: adding K contiguous rows is much faster than summing N rows of
-        length K.
-        """
-        u = np.asarray(u, dtype=float)
-        col = (-1,) + (1,) * u.ndim
+        x = np.asarray(x, dtype=float)
+        col = (-1,) + (1,) * x.ndim
         shift = (atom - np.asarray(self.lattice.support, dtype=float)).reshape(col)
         # a far atom at tiny sigma squares past the largest double in
         # log_pdf; the -inf that gives is its log-density to double precision
         with np.errstate(over="ignore"):
-            t = self.base.log_pdf(u + shift)
+            t = self.base.log_pdf(x + shift)
         t += np.asarray(self.lattice.log_probs).reshape(col)
         return _log_sum_exp(t)
 
@@ -303,9 +295,8 @@ class MixtureDensity:
         ``support[i]``, and their noise is the ``i``-th run of ``counts[i]``
         consecutive entries of ``noise`` (drawn after the counts).  The sum
         ``k + noise`` is never formed: it would round a noise below the
-        spacing of doubles at ``k`` away.  This stream differs from that of
-        earlier versions, which drew each sample's atom by ``rng.choice``
-        and returned the sums; a seed still gives the same draws every run.
+        spacing of doubles at ``k`` away.  A seed gives the same draws every
+        run.
         """
         counts = rng.multinomial(n, self.lattice.probs)
         return counts, self.base.sample(rng, n)

@@ -143,22 +143,23 @@ def _integrate_folded(body, support, log_probs, base, cells=None):
 
 def _cell_sums(body, u, lps, offsets, base) -> np.ndarray:
     """``sum_n body(t(u_i))_n`` over the cells, for each node ``u_i``.  The
-    (node, cell) pairs are the columns of one w x nodes x cells array, atoms
-    on axis 0, built and reduced in slices of at most ``QUAD_BLOCK_CELLS``
-    entries; a node's cells form one contiguous line, summed as one row, so
-    its value does not depend on the other nodes evaluated with it."""
+    (atom, node, cell) entries are built in slices of at most
+    ``QUAD_BLOCK_CELLS``, atoms on axis 0; each slice's values are summed
+    per node and added to that node's total, so no nodes x cells array is
+    held.  A node's cells are cut into the same slices whichever nodes are
+    evaluated with it, so its value does not depend on them."""
     width, n_cells = offsets.shape
     rows = max(1, QUAD_BLOCK_CELLS // width)
     step_u, step_c = max(1, rows // n_cells), min(n_cells, rows)
-    out = np.empty((u.size, n_cells))
+    total = np.zeros(u.size)
     for i in range(0, u.size, step_u):
         ui = u[i : i + step_u, None]
         for c in range(0, n_cells, step_c):
             t = base.log_pdf(ui + offsets[:, None, c : c + step_c])
             t += lps[:, None, c : c + step_c]
-            block = out[i : i + step_u, c : c + step_c]
-            block[...] = body(t.reshape(width, -1)).reshape(block.shape)
-    return out.sum(axis=1)
+            values = body(t.reshape(width, -1)).reshape(ui.size, -1)
+            total[i : i + step_u] += values.sum(axis=1)
+    return total
 
 
 def _entropy_body(t: np.ndarray) -> np.ndarray:
@@ -253,8 +254,7 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
     ``MixtureDensity.sample`` draws the atom counts by one multinomial and
     the noise apart from them; ``_mc_estimate`` reduces them in the noise
     array itself, so the estimate holds one array of N doubles for any
-    number of atoms K, not O(K N).  The stream differs from that of earlier
-    versions, which drew each sample's atom by ``rng.choice``.
+    number of atoms K, not O(K N).
     """
     counts, noise = m.sample(np.random.default_rng(cfg.seed), cfg.samples)
     return _mc_estimate(m, counts, noise)
@@ -272,8 +272,9 @@ def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
     chunks of ``MC_CHUNK_SAMPLES``, each held in one chunk-sized buffer:
     the noise array itself, or, given ``scale``, one array that receives
     each chunk's scaled noise.  Each atom's run within a chunk goes through
-    the kernel in blocks of at most ``MC_BLOCK_CELLS`` (atom, sample)
-    cells, and its log-densities overwrite the noise they came from.
+    ``m.log_density(noise, atom)`` in blocks of at most ``MC_BLOCK_CELLS``
+    (atom, sample) cells, and its log-densities overwrite the noise they
+    came from.
     A chunk's mean and sum of squared deviations are reduced by the
     operations of ``np.mean`` and ``np.std(ddof=1)`` and merged into the
     running totals by the pairwise update of Chan, Golub and LeVeque, so
@@ -295,7 +296,7 @@ def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
             stop = min(end, c1) - c0
             for lo in range(max(start - c0, 0), stop, step):
                 hi = min(lo + step, stop)
-                ld[lo:hi] = m._log_density_at(atom, ld[lo:hi])
+                ld[lo:hi] = m.log_density(ld[lo:hi], atom)
         k = c1 - c0
         chunk_mean = np.add.reduce(ld) / k
         ld -= chunk_mean

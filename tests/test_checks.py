@@ -5,6 +5,7 @@ The entropy reports run on a pool of one worker per usable CPU; they share
 one noise draw, the worker count changes no bit, and a failing report stops
 the pool early."""
 
+import dataclasses
 import math
 import threading
 import time
@@ -49,6 +50,8 @@ def _judge_entropy_rows(check):
          "> combined errors"),
         # above Theorem 1 at every sigma of the grid
         (bounds, _judge_reports(checks.check_sharpness_sandwich), 10.0, "<= upper"),
+        # 0, below the closed-form lower bound at every sigma of the grid
+        (bounds, _judge_reports(checks.check_sharpness_sandwich), 0.0, ": lower "),
         (bounds, _judge_reports(checks.check_bound_chain), 10.0,
          "delta <= lemma1 violated"),
         (bounds, _judge_reports(checks.check_bound_chain), math.nan,
@@ -56,8 +59,9 @@ def _judge_entropy_rows(check):
         # negative, below ln 2 * Q(1/(2 sigma))
         (bounds, _judge_reports(checks.check_big_sigma_lower), -1.0, ">= bound"),
     ],
-    ids=["identity", "identity_nan", "sharpness_sandwich", "bound_chain",
-         "bound_chain_nan", "big_sigma_lower"],
+    ids=["identity", "identity_nan", "sharpness_sandwich",
+         "sharpness_sandwich_lower", "bound_chain", "bound_chain_nan",
+         "big_sigma_lower"],
 )
 def test_impossible_deficit_fails_the_check(monkeypatch, module, run, delta, quoted):
     impossible = EntropyValue(delta, EntropyMethod.QUADRATURE, 1e-12)
@@ -80,6 +84,62 @@ def test_nan_monte_carlo_fails_the_check(nats, se):
     assert "> 4 SE" in result.detail
 
 
+def _replacing(real, **fields):
+    """``real`` with these fields of its result replaced."""
+    return lambda *args: dataclasses.replace(real(*args), **fields)
+
+
+def _entropy(nats):
+    return lambda *args: EntropyValue(nats, EntropyMethod.QUADRATURE, 1e-12)
+
+
+def _violations(name, module, attr, fake, run, quoted, finite):
+    """The case ``name`` with ``fake(finite)`` in place of ``module.attr``,
+    and the case ``name_nan`` with ``fake(nan)``."""
+    return [
+        pytest.param(module, attr, fake(value), run, quoted, id=name + suffix)
+        for value, suffix in ((finite, ""), (math.nan, "_nan"))
+    ]
+
+
+@pytest.mark.parametrize(
+    "module, attr, fake, run, quoted",
+    # a finite violation reaches each failure branch; NaN must too, so each
+    # test is the negation of the condition that must hold
+    _violations("big_sigma_reference", bounds, "big_sigma_lower_bound",
+                lambda v: lambda sigma: v, _judge_reports(checks.check_big_sigma_lower),
+                ["lower bound at sigma=1 is"], 0.25)
+    + [pytest.param(bounds, "big_sigma_lower_bound",
+                    lambda sigma: checks.BIG_SIGMA_LB_AT_1,
+                    _judge_reports(checks.check_big_sigma_lower),
+                    ["bound not increasing at sigma=1.0"], id="big_sigma_monotone")]
+    + _violations("rate_match", checks, "theorem1_upper_bound",
+                  lambda v: lambda sigma: v, checks.check_rate_match,
+                  ["sigma=0.1: ratio", "> 1e-12)"], 1.0)
+    + _violations("landauer_reference", checks, "reset_report",
+                  lambda v: _replacing(checks.reset_report, envelope=v),
+                  checks.check_landauer, ["envelope at sigma_eff=0.1 is"], 1.0)
+    + _violations("landauer_envelope", checks, "reset_report",
+                  lambda v: _replacing(checks.reset_report, delta_h=v),
+                  checks.check_landauer, ["sigma_eff=0.05: |delta_h - ln2| = "], 0.0)
+    + _violations("equality_direct", checks, "deficit_direct", _entropy,
+                  checks.check_equality_cases, ["point mass: direct deficit"], 1e-6)
+    + _violations("equality_identity", checks, "deficit_via_identity", _entropy,
+                  checks.check_equality_cases,
+                  ["point mass: identity deficit", "uniform base: deficit"], 1e-6)
+    + _violations("equality_uniform_mixture", checks, "mixture_entropy", _entropy,
+                  checks.check_equality_cases, ["uniform base: h(X+Z)"], 1e-6)
+    + _violations("tail", checks, "tail_mass", lambda v: lambda g, z: v,
+                  checks.check_tail_inequality,
+                  ["tail bound exceeds tail by"], 0.0),
+)
+def test_violation_fails_the_check(monkeypatch, module, attr, fake, run, quoted):
+    monkeypatch.setattr(module, attr, fake)
+    result = run()
+    assert result.passed is False
+    assert all(q in result.detail for q in quoted), result.detail
+
+
 @pytest.mark.parametrize(
     "fake, quoted, absent",
     [
@@ -93,8 +153,12 @@ def test_nan_monte_carlo_fails_the_check(nats, se):
         (lambda g, eps, _real=checks.lattice_sum: _real(g, eps)
          + 1e-9 * np.sin(2.0 * np.pi * np.asarray(eps)), "reflection invariance broke",
          "shift invariance"),
+        # NaN at every shifted or mirrored offset
+        (lambda g, eps, _real=checks.lattice_sum: np.full(np.shape(eps), np.nan)
+         if np.ndim(eps) == 2 else _real(g, eps), "shift invariance broke",
+         ">= 1/sigma"),
     ],
-    ids=["at_the_bound", "not_shift_invariant", "not_even"],
+    ids=["at_the_bound", "not_shift_invariant", "not_even", "nan_when_moved"],
 )
 def test_broken_lattice_sum_fails_the_check(monkeypatch, fake, quoted, absent):
     monkeypatch.setattr(checks, "lattice_sum", fake)

@@ -130,6 +130,16 @@ class TestDiscreteLattice:
             DiscreteLattice.from_json(doc)
 
     @pytest.mark.parametrize(
+        "doc, message",
+        [('{"support":[0,1,2],"probs":[0.5,0.5]}',
+          "support has 3 entries but probs has 2"),
+         ('{"uniform_support":0}', "uniform_support size must be >= 1 (got 0)")],
+    )
+    def test_from_json_names_the_broken_invariant(self, doc, message):
+        with pytest.raises(DistributionError, match=re.escape(message)):
+            DiscreteLattice.from_json(doc)
+
+    @pytest.mark.parametrize(
         "z,expected",
         [
             (DiscreteLattice.bernoulli(0.5), True),

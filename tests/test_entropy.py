@@ -274,6 +274,23 @@ class TestFoldedQuadrature:
         assert dd.converged
         assert peak < 32 * 2**20
 
+    def test_memory_stays_bounded_at_large_sigma(self):
+        # ~80000 cells: each node's cells span several slices, whose sums
+        # add into the node's total; one double per (node, cell) would
+        # take 33 MiB
+        sigma = 1e3
+        tracemalloc.start()
+        try:
+            dd = deficit_direct(FAIR, GaussianDensity(sigma))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the next term of the expansion is O(sigma**-8)
+        expected = math.log(2.0) - 0.5 * math.log1p(1.0 / (4.0 * sigma**2))
+        assert dd.converged
+        assert abs(dd.nats - expected) <= dd.abs_error + 1e-15
+        assert peak < 16 * 2**20
+
 
 
 @st.composite
