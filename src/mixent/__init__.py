@@ -38,7 +38,6 @@ from .landauer import (
     reset_report,
 )
 from .numerics import (
-    DomainError,
     QuadratureResult,
     gaussian_tail_lower,
     integrate,
@@ -52,7 +51,6 @@ __all__ = [
     "BoundReport",
     "DiscreteLattice",
     "DistributionError",
-    "DomainError",
     "EntropyMethod",
     "EntropyValue",
     "GaussianDensity",

@@ -30,7 +30,7 @@ from .entropy import (
     deficit_direct,
     discrete_entropy,
 )
-from .numerics import _LN2, _SQRT_2PI, DomainError
+from .numerics import _LN2, _SQRT_2PI
 
 
 def _subcritical(sigma: float) -> bool:
@@ -41,7 +41,7 @@ def _subcritical(sigma: float) -> bool:
 def _require_subcritical(sigma: float, what: str) -> float:
     sigma = float(sigma)
     if not _subcritical(sigma):
-        raise DomainError(f"{what} requires 0 < sigma < 1/2 (got {sigma!r})")
+        raise ValueError(f"{what} requires 0 < sigma < 1/2 (got {sigma!r})")
     return sigma
 
 
@@ -99,7 +99,7 @@ def big_sigma_lower_bound(sigma: float) -> float:
     toward ``ln 2 / 2``."""
     sigma = float(sigma)
     if not sigma > 0.0:
-        raise DomainError(f"lower bound requires sigma > 0 (got {sigma!r})")
+        raise ValueError(f"lower bound requires sigma > 0 (got {sigma!r})")
     return _LN2 * tail_mass(GaussianDensity(1.0), 0.5 / sigma)
 
 

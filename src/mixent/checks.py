@@ -47,8 +47,7 @@ THM1_ENVELOPE_AT_01 = 1.7840634176811572e-05  # exp(-12.5) * 12 / sqrt(2 pi)
 DELTA_INTERVAL_AT_025 = (0.0140330, 0.4858927)  # closed-form envelope, rounded
 
 LEMMA2_SEED = 1894772156
-MC_SEED_BASE = 20260809
-MC_NOISE_SEED = MC_SEED_BASE - 1  # validate's shared noise; no pair's seed
+MC_SEED = 20260809
 
 SHARPNESS_GRID = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
 BIG_SIGMA_GRID = (0.5, 1.0, 2.0, 4.0)
@@ -331,56 +330,47 @@ def _worker_count(jobs: int) -> int:
     return min(cpus, jobs)
 
 
-def _grid_report(
-    z: DiscreteLattice, g: GaussianDensity, mc: McConfig, noise: np.ndarray
-) -> dict:
-    """``entropy_report(z, g)`` and its ``h_mc``: the atom counts drawn as
-    ``MixtureDensity.sample`` draws them, from ``mc.seed``, and the noise
-    ``noise * g.sigma``.  The two are independent streams, so the estimate
-    is an exact sample of its own mixture."""
-    report = entropy_report(z, g)
-    counts = np.random.default_rng(mc.seed).multinomial(mc.samples, z.probs)
-    report["h_mc"] = _mc_estimate(MixtureDensity(g, z), counts, noise, g.sigma)
-    return report
-
-
 def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
     """Run every named check; order is fixed and deterministic.
 
     The three fair-Bernoulli bound checks judge one set of sandwich
     reports, one row per sigma.  The identity and Monte Carlo checks judge
-    one entropy report per (law, sigma) of the grid.  The sample configs
-    are built first, so a bad ``mc_samples`` stops the run before any
-    quadrature, and then the ``mc_samples`` standard normals are drawn
-    once, with seed ``MC_NOISE_SEED``, so a count too large to allocate
-    fails before any report.  Pair ``i`` in law-major order draws its atom
-    counts with seed ``MC_SEED_BASE + i`` and scales the shared draw by its
-    own sigma (common random numbers across the grid); each estimate holds
-    one chunk-sized buffer besides it.
+    one entropy report per (law, sigma) of the grid.  Every Monte Carlo
+    input comes from one generator seeded ``MC_SEED``, drawn here before
+    any report: first the ``mc_samples`` standard normals, so a bad or
+    unallocatable count stops the run before any quadrature, then each
+    pair's atom counts, by one multinomial each, in grid order.  Each
+    estimate scales the shared normals by its own sigma (common random
+    numbers across the grid) and holds one chunk-sized buffer besides them.
 
-    The entropy reports run on a thread pool of one worker per usable CPU
-    (numpy releases the GIL in the sampling and the kernel), collected in
-    grid order.  No report draws from another's stream, so the results
-    are the same bits at any worker count.  If a report raises, or on
-    Ctrl-C, the reports not yet started are cancelled.
+    The entropy reports and their estimates run on a thread pool of one
+    worker per usable CPU (numpy releases the GIL in the kernel), collected
+    in grid order.  The workers draw nothing, so the results are the same
+    bits at any worker count.  If a report raises, or on Ctrl-C, the
+    reports not yet started are cancelled.
     """
     # imported here: at module level it would slow ``import mixent.cli``
     from concurrent.futures import ThreadPoolExecutor
 
     laws = grid_laws()
     pairs = [(label, s) for label in laws for s in IDENTITY_SIGMA_GRID]
-    configs = [McConfig(mc_samples, MC_SEED_BASE + i) for i in range(len(pairs))]
-    noise = np.random.default_rng(MC_NOISE_SEED).standard_normal(mc_samples)
+    McConfig(mc_samples, MC_SEED)  # rejects a count below 2
+    rng = np.random.default_rng(MC_SEED)
+    noise = rng.standard_normal(mc_samples)
+    counts = [rng.multinomial(mc_samples, laws[label].probs) for label, _ in pairs]
     fair = DiscreteLattice.bernoulli(0.5)
     reports = [sandwich_report(fair, s) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
 
-    def row(pair: tuple[str, float], mc: McConfig) -> tuple[str, float, dict]:
+    def row(pair: tuple[str, float], counts: np.ndarray) -> tuple[str, float, dict]:
         label, s = pair
-        return label, s, _grid_report(laws[label], GaussianDensity(s), mc, noise)
+        z, g = laws[label], GaussianDensity(s)
+        report = entropy_report(z, g)
+        report["h_mc"] = _mc_estimate(MixtureDensity(g, z), counts, noise, g.sigma)
+        return label, s, report
 
     pool = ThreadPoolExecutor(_worker_count(len(pairs)))
     try:
-        rows = list(pool.map(row, pairs, configs))
+        rows = list(pool.map(row, pairs, counts))
     finally:
         pool.shutdown(cancel_futures=True)
     return [

@@ -112,7 +112,11 @@ def _integrate_folded(body, support, log_probs, base, cells=None):
     r = base.reach
     ks = np.asarray(support, dtype=np.int64)
     if cells is None:
-        cells = np.unique(ks[:, None] + np.arange(-r, r + 1))
+        try:
+            window = np.arange(-r, r + 1)
+        except ValueError as exc:  # numpy: more elements than any array holds
+            raise MemoryError(f"{base!r}: {2 * r + 1} cells around each atom") from exc
+        cells = np.unique(ks[:, None] + window)
     lo = np.searchsorted(ks, cells - r)
     hi = np.searchsorted(ks, cells + r, side="right")
     idx = lo + np.arange((hi - lo).max())[:, None]
@@ -277,15 +281,18 @@ def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
     came from.
     A chunk's mean and sum of squared deviations are reduced by the
     operations of ``np.mean`` and ``np.std(ddof=1)`` and merged into the
-    running totals by the pairwise update of Chan, Golub and LeVeque, so
-    for N <= ``MC_CHUNK_SAMPLES`` the bits are numpy's.
+    running totals by the pairwise update of Chan, Golub and LeVeque, every
+    chunk the first included.  The totals start at -0.0, and on the first
+    chunk the update adds that chunk's own totals to them, which leaves
+    their bits as they are (but for a chunk mean of -0.0, which comes out
+    +0.0), so for N <= ``MC_CHUNK_SAMPLES`` the bits are numpy's.
     """
     n = noise.size
     buf = None if scale is None else np.empty(min(n, MC_CHUNK_SAMPLES))
     step = max(1, MC_BLOCK_CELLS // len(counts))
     ends = np.cumsum(counts).tolist()
     runs = list(zip(m.lattice.support, [0] + ends[:-1], ends))
-    mean = m2 = 0.0
+    mean = m2 = -0.0
     for c0 in range(0, n, MC_CHUNK_SAMPLES):
         c1 = min(c0 + MC_CHUNK_SAMPLES, n)
         ld = noise[c0:c1]
@@ -302,12 +309,9 @@ def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
         ld -= chunk_mean
         ld *= ld
         chunk_m2 = np.add.reduce(ld)
-        if c0 == 0:
-            mean, m2 = chunk_mean, chunk_m2
-        else:
-            d = chunk_mean - mean
-            mean += d * (k / c1)
-            m2 += chunk_m2 + d * d * (c0 * k / c1)
+        d = chunk_mean - mean
+        mean += d * (k / c1)
+        m2 += chunk_m2 + d * d * (c0 * k / c1)
     nats = -float(mean)
     se = float(np.sqrt(m2 / (n - 1)) / math.sqrt(n))
     return EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)

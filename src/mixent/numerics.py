@@ -64,10 +64,6 @@ _EPS = 2.0**-52
 _UFLOW = 2.0**-1022
 
 
-class DomainError(ValueError):
-    """Argument outside the domain where a closed-form bound is meaningful."""
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -214,6 +210,6 @@ def gaussian_tail_lower(z: float) -> float:
     normal upper tail; positive and valid only for ``z > 1``."""
     z = float(z)
     if not z > 1.0:
-        raise DomainError(f"tail lower bound requires z > 1 (got {z!r})")
+        raise ValueError(f"tail lower bound requires z > 1 (got {z!r})")
     phi = math.exp(-0.5 * z * z) / _SQRT_2PI
     return phi * (1.0 / z - 1.0 / z**3)

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from dataclasses import asdict
 
 import mpmath
@@ -24,7 +25,6 @@ from mixent.checks import SHARPNESS_GRID
 from mixent.cli import main
 from mixent.distributions import DiscreteLattice, GaussianDensity
 from mixent.entropy import EntropyMethod, EntropyValue, deficit_direct
-from mixent.numerics import DomainError
 
 LN2 = math.log(2.0)
 FAIR = DiscreteLattice.bernoulli(0.5)
@@ -171,13 +171,18 @@ class TestClosedForms:
 
     def test_lemma4_boundary(self):
         assert math.isfinite(lemma4_far_term(GaussianDensity(0.49)))
-        with pytest.raises(DomainError):
+        with pytest.raises(
+            ValueError, match=re.escape("far-field term requires 0 < sigma < 1/2 (got 0.5)")
+        ):
             lemma4_far_term(GaussianDensity(0.5))
 
     @pytest.mark.parametrize("func", [theorem1_upper_bound, bernoulli_lower_bound])
     @pytest.mark.parametrize("sigma", [0.5, 0.75, 0.0, -0.1])
     def test_subcritical_domain_errors(self, func, sigma):
-        with pytest.raises(DomainError):
+        what = {theorem1_upper_bound: "closed-form upper bound",
+                bernoulli_lower_bound: "Bernoulli lower bound"}[func]
+        message = f"{what} requires 0 < sigma < 1/2 (got {sigma!r})"
+        with pytest.raises(ValueError, match=re.escape(message)):
             func(sigma)
 
     def test_big_sigma_frozen_values(self):
@@ -195,7 +200,9 @@ class TestClosedForms:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_big_sigma_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(
+            ValueError, match=re.escape("lower bound requires sigma > 0 (got 0.0)")
+        ):
             big_sigma_lower_bound(0.0)
 
 

@@ -235,20 +235,20 @@ def test_one_worker_per_usable_cpu_at_most_one_per_pair(monkeypatch):
 
 def _run_on(cpus, n):
     """``run_all_checks`` at N=``n`` on ``cpus`` CPUs (None: this host's);
-    also every entropy report it built, by seed, and the threads that built
-    them."""
+    also every entropy report it built, by (law, base), its ``h_mc`` added
+    by the worker that built it, and the threads that built them."""
     reports, threads = {}, set()
-    real = checks._grid_report
+    real = checks.entropy_report
 
-    def recording(z, base, mc, noise):
+    def recording(z, base):
         threads.add(threading.get_ident())
-        reports[mc.seed] = report = real(z, base, mc, noise)
+        reports[z, base] = report = real(z, base)
         return report
 
     with pytest.MonkeyPatch.context() as mp:
         if cpus is not None:
             _pin_cpus(mp, cpus)
-        mp.setattr(checks, "_grid_report", recording)
+        mp.setattr(checks, "entropy_report", recording)
         results = checks.run_all_checks(mc_samples=n)
     return results, reports, threads
 
@@ -264,66 +264,85 @@ def test_worker_count_changes_no_bit():
     serial, serial_reports, serial_threads = _run_on(1, n)
     assert len(serial_threads) == 1
     assert len(serial_reports) == 20
+    assert all("h_mc" in report for report in serial_reports.values())
     for cpus in (None, 4):
         results, reports, threads = _run_on(cpus, n)
         assert results == serial
         if cpus is not None:
             assert len(threads) <= cpus
         assert reports.keys() == serial_reports.keys()
-        for seed, report in reports.items():
-            assert _bits(report) == _bits(serial_reports[seed])
+        for pair, report in reports.items():
+            assert _bits(report) == _bits(serial_reports[pair])
 
 
 def test_a_failing_report_cancels_the_queued_ones(monkeypatch):
     # pair 0 fails at once while its neighbours take 20 ms each: the pool
     # must not start all 20 before the error comes back
     calls = []
+    first = (FAIR, GaussianDensity(checks.IDENTITY_SIGMA_GRID[0]))
 
-    def failing(z, base, mc, noise):
-        calls.append(mc.seed)
-        if mc.seed == checks.MC_SEED_BASE:
+    def failing(z, base):
+        calls.append((z, base))
+        if (z, base) == first:
             raise RuntimeError("pair 0 broke")
         time.sleep(0.02)
+        return {}
 
     _pin_cpus(monkeypatch, 2)
-    monkeypatch.setattr(checks, "_grid_report", failing)
+    monkeypatch.setattr(checks, "entropy_report", failing)
     with pytest.raises(RuntimeError, match="pair 0 broke"):
         checks.run_all_checks(mc_samples=2)
     assert len(calls) < 6, calls
 
 
 class _CountingRng:
-    """A ``np.random.Generator`` that records the size of each
-    ``standard_normal`` draw."""
+    """A ``np.random.Generator`` that records each ``standard_normal`` and
+    ``multinomial`` draw in ``events``."""
 
-    def __init__(self, rng, draws):
-        self._rng, self._draws = rng, draws
+    def __init__(self, rng, events):
+        self._rng, self._events = rng, events
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
     def standard_normal(self, size):
-        self._draws.append(size)
+        self._events.append(("standard_normal", size))
         return self._rng.standard_normal(size)
+
+    def multinomial(self, n, pvals):
+        self._events.append(("multinomial", n, tuple(pvals)))
+        return self._rng.multinomial(n, pvals)
 
 
 def test_the_grid_draws_its_normals_once(monkeypatch):
-    draws, seeds = [], []
-    real = np.random.default_rng
+    events = []
+    real_rng, real_report = np.random.default_rng, checks.entropy_report
 
     def counting(seed):
-        seeds.append(seed)
-        return _CountingRng(real(seed), draws)
+        events.append(("default_rng", seed))
+        return _CountingRng(real_rng(seed), events)
+
+    def reporting(z, base):
+        events.append(("entropy_report",))
+        return real_report(z, base)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(checks, "entropy_report", reporting)
     results = checks.run_all_checks(mc_samples=5000)
     assert all(r.passed for r in results)
-    assert draws == [5000]
-    # the shared draw's seed is no pair's; each pair draws its counts
-    assert seeds.count(checks.MC_NOISE_SEED) == 1
-    pair_seeds = [checks.MC_SEED_BASE + i for i in range(20)]
-    assert checks.MC_NOISE_SEED not in pair_seeds
-    assert sorted(s for s in seeds if s in pair_seeds) == pair_seeds
+    assert [e for e in events if e[0] == "standard_normal"] == [("standard_normal", 5000)]
+    # one generator, seeded MC_SEED, draws the normals and then every
+    # pair's counts in grid order, all before the first report
+    assert events.count(("default_rng", checks.MC_SEED)) == 1
+    laws = checks.grid_laws()
+    counts = [("multinomial", 5000, laws[label].probs)
+              for label in laws for _ in checks.IDENTITY_SIGMA_GRID]
+    first = events.index(("entropy_report",))
+    assert events[:first] == [
+        ("default_rng", checks.MC_SEED), ("standard_normal", 5000), *counts
+    ]
+    assert [e for e in events if e[0] == "multinomial"] == counts
+    assert events.count(("entropy_report",)) == 20
 
 
 def test_the_grid_holds_one_draw_and_a_few_mib_per_worker(monkeypatch):
@@ -345,7 +364,7 @@ def test_an_unallocatable_sample_count_fails_before_any_report(monkeypatch):
     # 10**17 doubles are 711 PiB: the shared draw fails at once
     calls = []
     monkeypatch.setattr(bounds, "deficit_direct", lambda *args: calls.append(args))
-    monkeypatch.setattr(checks, "_grid_report", lambda *args: calls.append(args))
+    monkeypatch.setattr(checks, "entropy_report", lambda *args: calls.append(args))
     with pytest.raises(MemoryError):
         checks.run_all_checks(mc_samples=10**17)
     assert calls == []

@@ -440,6 +440,26 @@ def test_readme_invocations_parse():
         build_parser().parse_args(argv)
 
 
+def test_readme_library_block_runs_with_the_values_it_shows():
+    """README's ``python`` block runs as written, and each expression with a
+    value in its comment (``0.0604...``, or ``same value`` as the line
+    above) has that value to the digits shown."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    namespace = {}
+    exec(block, namespace)
+    checked, digits = 0, None
+    for expr, comment in re.findall(r"^(\S.*?)\s+# (.*)$", block, re.M):
+        shown = re.fullmatch(r"(\d+\.\d+)\.\.\.", comment)
+        if shown:
+            digits = shown.group(1)
+        elif not comment.startswith("same value"):
+            continue
+        assert repr(eval(expr, namespace)).startswith(digits), (expr, digits)
+        checked += 1
+    assert checked == 4
+
+
 @pytest.mark.parametrize(
     "lead, columns",
     [("Sweep CSV columns (stable order):", CSV_COLUMNS),
@@ -519,3 +539,24 @@ def test_count_too_large_to_allocate_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "allocate" in err
+
+
+# sigma >= 1e18: the cell window around an atom holds more elements than any
+# array, so numpy refuses it at once and no memory is ever touched
+@pytest.mark.parametrize(
+    "argv, base",
+    [
+        (["entropy", "--sigma", "1e30", "--dist", FAIR_JSON], "sigma=1e+30"),
+        (["sweep", "--sigma-start", "1e20", "--sigma-end", "1e20", "--steps", "1",
+          "--dist", FAIR_JSON], "sigma=1e+20"),
+        (["landauer", "--mu", "1e-30", "--sigma", "1", "--p1", "0.5"],
+         "sigma=4.9999999999999994e+29"),
+    ],
+    ids=["entropy", "sweep", "landauer"],
+)
+def test_a_cell_window_beyond_any_array_names_the_base(capsys, argv, base):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: GaussianDensity(" + base + "): ")
+    assert err.endswith(" cells around each atom\n") and err.count("\n") == 1

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from mixent.checks import MC_SEED_BASE, grid_laws
+from mixent.checks import MC_SEED, grid_laws
 from mixent.distributions import (
     DiscreteLattice,
     DistributionError,
@@ -406,7 +406,7 @@ class TestLogDensityKernel:
         assert np.all(np.isfinite(ld[~outside]))
 
 
-# mc_entropy(grid law, sigma 0.25, N = 10**5, seed MC_SEED_BASE) as
+# mc_entropy(grid law, sigma 0.25, N = 10**5, seed MC_SEED) as
 # (nats, standard error), captured from the multinomial draw evaluated in
 # exact coordinates, block by block: the same bits, not merely close values
 MC_BIT_PIN = {
@@ -420,7 +420,7 @@ MC_BIT_PIN = {
 @pytest.mark.parametrize("label", sorted(MC_BIT_PIN))
 def test_mc_entropy_bits_are_pinned(label):
     m = MixtureDensity(GaussianDensity(0.25), grid_laws()[label])
-    v = mc_entropy(m, McConfig(10**5, MC_SEED_BASE))
+    v = mc_entropy(m, McConfig(10**5, MC_SEED))
     assert (v.nats.hex(), v.abs_error.hex()) == MC_BIT_PIN[label]
 
 
