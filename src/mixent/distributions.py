@@ -194,6 +194,22 @@ class GaussianDensity:
         u = np.asarray(x, dtype=float) / self.sigma
         return -0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
 
+    def log_ratio(self, x, d, lw, out):
+        """``lw + ln f(x + d) - ln f(x)`` for a column of offsets ``d`` with
+        their log-weights ``lw`` and a row of points ``x``, into ``out``
+        (one row per offset): ``lw - d (2x + d) / (2 sigma^2)``, two
+        constants per offset and one multiply-add per entry.  A constant
+        that overflows to -inf (a far offset at tiny sigma) gets slope 0,
+        so its row is -inf, which is its value to double precision at any
+        ``|x| <= |d| / 4``."""
+        with np.errstate(over="ignore"):
+            slope = -d / self.sigma**2
+            const = lw + 0.5 * slope * d
+        slope[const == -np.inf] = 0.0
+        np.multiply(slope, x, out=out)
+        out += const
+        return out
+
     def entropy_nats(self) -> float:
         scaled = 2.0 * math.pi * math.e * self.sigma**2
         if math.isinf(scaled):  # sigma >~ 3.2e153, though sigma**2 is finite
@@ -224,6 +240,16 @@ class UniformDensity:
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) < self.half_width, inside_log, -np.inf)
 
+    def log_ratio(self, x, d, lw, out):
+        """``lw + ln f(x + d) - ln f(x)`` into ``out``, as the Gaussian's,
+        for points ``x`` inside the support: ``lw`` where ``x + d`` is
+        inside it too, -inf where it is not."""
+        np.add(x, d, out=out)
+        inside = np.abs(out, out=out) < self.half_width
+        out.fill(-np.inf)
+        np.copyto(out, lw, where=inside)
+        return out
+
     def entropy_nats(self) -> float:
         return math.log(2.0 * self.half_width)
 
@@ -248,16 +274,20 @@ def _log_sum_exp(t: np.ndarray) -> np.ndarray:
     in place: ``t`` is overwritten.
 
     After the shift every column with mass holds an exact 1, so a term
-    below ``e^-700`` (~1e-304) cannot move its sum; such terms are taken to
-    ``-inf`` first, because ``np.exp`` is many times slower where its
-    result is subnormal or underflows than at ``-inf``."""
+    below ``e^-700`` (~1e-304) cannot move its sum; such terms are raised
+    to -700 first, because ``np.exp`` is many times slower where its
+    result is subnormal, underflows or is taken at -inf, and a column with
+    no mass gets the sum 0."""
     top = t.max(axis=0, keepdims=True)
-    top[top == -np.inf] = 0.0
+    dead = top == -np.inf
+    top[dead] = 0.0
     t -= top
-    np.copyto(t, -np.inf, where=t < -700.0)
+    np.maximum(t, -700.0, out=t)
     np.exp(t, out=t)
+    total = t.sum(axis=0, keepdims=True)
+    total[dead] = 0.0
     with np.errstate(divide="ignore"):
-        return top[0] + np.log(t.sum(axis=0))
+        return (top + np.log(total))[0]
 
 
 @dataclass(frozen=True)

@@ -62,15 +62,18 @@ class EntropyValue:
     converged: bool = True
 
 
-# Monte Carlo evaluates the mixture in blocks of at most this many (atom,
-# sample) cells: 1 MiB per temporary, which keeps them in cache.
-MC_BLOCK_CELLS = 2**17
+# Monte Carlo scores each atom's samples in blocks of at most this many
+# (fewer where K - 1 neighbour rows of them would pass MC_CHUNK_SAMPLES
+# doubles).  On a 2-vCPU x86 host, validate's checks on two workers took
+# 0.514, 0.443 and 0.423 s at 2**14, 2**15 and 2**16 (median of 6), and
+# 2**16 raised the process's peak RSS from ~56.3 to ~59 MB.
+MC_BLOCK_SAMPLES = 2**15
 # ... and reduces its log-densities in chunks of this many samples, 2 MiB.
 MC_CHUNK_SAMPLES = 2**18
 # The folded integrands evaluate their (atom, node, cell) entries in slices
 # of at most this many.  On a 2-vCPU x86 host, both quadratures on 18 laws
 # of <= 24 atoms took 43.7, 42.6, 47.6 and 46.2 ms at 2**13 to 2**16 (median
-# of 40), and Monte Carlo ran fastest at 2**17, so each keeps its budget.
+# of 40).
 QUAD_BLOCK_CELLS = 2**14
 
 
@@ -256,9 +259,10 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
     the error estimate.  Same seed, same result, bit for bit.
 
     ``MixtureDensity.sample`` draws the atom counts by one multinomial and
-    the noise apart from them; ``_mc_estimate`` reduces them in the noise
-    array itself, so the estimate holds one array of N doubles for any
-    number of atoms K, not O(K N).
+    the noise apart from them; ``_mc_estimate`` scores each sample against
+    its own atom and reduces the scores in the noise array itself, so the
+    estimate holds one array of N doubles for any number of atoms K, not
+    O(K N).
     """
     counts, noise = m.sample(np.random.default_rng(cfg.seed), cfg.samples)
     return _mc_estimate(m, counts, noise)
@@ -270,15 +274,18 @@ def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
     scale`` (``noise`` is then only read, and the bits are those of the
     estimate given ``noise * scale``).
 
-    A sample of atom ``a`` is evaluated in exact coordinates, against atom
-    ``k`` at ``noise + (a - k)``, so the own-atom term sees the noise itself
-    even where ``a + noise`` would round to ``a``.  The sample is walked in
-    chunks of ``MC_CHUNK_SAMPLES``, each held in one chunk-sized buffer:
-    the noise array itself, or, given ``scale``, one array that receives
-    each chunk's scaled noise.  Each atom's run within a chunk goes through
-    ``m.log_density(noise, atom)`` in blocks of at most ``MC_BLOCK_CELLS``
-    (atom, sample) cells, and its log-densities overwrite the noise they
-    came from.
+    A sample of atom ``a`` with noise ``x`` is scored against its own
+    atom, in exact coordinates: ``ln f(x) + ln(p_a + sum_{k != a} p_k
+    f(x + a - k) / f(x))``, each ratio from ``m.base.log_ratio`` (see
+    ``_own_atom_scores``).  ``m.log_density(x, a)`` is the same value by K
+    log-pdf evaluations; this is one multiply-add per (neighbour, sample).
+    The sample is walked in chunks of ``MC_CHUNK_SAMPLES``, each held in
+    one chunk-sized buffer: the noise array itself, or, given ``scale``,
+    one array that receives each chunk's scaled noise.  Each atom's run
+    within a chunk is scored in blocks of at most ``MC_BLOCK_SAMPLES``
+    samples, with one preallocated buffer of K - 1 rows (fewer samples
+    where that buffer would pass ``MC_CHUNK_SAMPLES`` doubles), and its
+    scores overwrite the noise they came from.
     A chunk's mean and sum of squared deviations are reduced by the
     operations of ``np.mean`` and ``np.std(ddof=1)`` and merged into the
     running totals by the pairwise update of Chan, Golub and LeVeque, every
@@ -288,22 +295,31 @@ def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
     +0.0), so for N <= ``MC_CHUNK_SAMPLES`` the bits are numpy's.
     """
     n = noise.size
+    support = np.asarray(m.lattice.support, dtype=float)
+    lps = np.asarray(m.lattice.log_probs)
+    others = len(counts) - 1
+    step = max(1, min(MC_BLOCK_SAMPLES, MC_CHUNK_SAMPLES // max(others, 1)))
+    cells = np.empty(others * min(step, n))
     buf = None if scale is None else np.empty(min(n, MC_CHUNK_SAMPLES))
-    step = max(1, MC_BLOCK_CELLS // len(counts))
     ends = np.cumsum(counts).tolist()
-    runs = list(zip(m.lattice.support, [0] + ends[:-1], ends))
+    runs = list(zip([0] + ends[:-1], ends))
     mean = m2 = -0.0
     for c0 in range(0, n, MC_CHUNK_SAMPLES):
         c1 = min(c0 + MC_CHUNK_SAMPLES, n)
         ld = noise[c0:c1]
         if scale is not None:
             ld = np.multiply(ld, scale, out=buf[: c1 - c0])
-        # each block's log-densities overwrite the noise they came from
-        for atom, start, end in runs:
-            stop = min(end, c1) - c0
-            for lo in range(max(start - c0, 0), stop, step):
-                hi = min(lo + step, stop)
-                ld[lo:hi] = m.log_density(ld[lo:hi], atom)
+        for a, (start, end) in enumerate(runs):
+            first, stop = max(start - c0, 0), min(end, c1) - c0
+            if first >= stop:
+                continue
+            near = np.arange(others + 1) != a
+            shifts = (support[a] - support[near])[:, None]
+            lw = lps[near][:, None]
+            for lo in range(first, stop, step):
+                x = ld[lo : min(lo + step, stop)]
+                rho = cells[: others * x.size].reshape(others, x.size)
+                _own_atom_scores(m.base, x, lps[a], shifts, lw, rho)
         k = c1 - c0
         chunk_mean = np.add.reduce(ld) / k
         ld -= chunk_mean
@@ -315,6 +331,34 @@ def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
     nats = -float(mean)
     se = float(np.sqrt(m2 / (n - 1)) / math.sqrt(n))
     return EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)
+
+
+def _own_atom_scores(base, x, lp, d, lw, rho) -> None:
+    """Overwrite the noises ``x`` of one atom's samples with their
+    log-densities ``ln f(x) + ln(p_a + sum_k exp(rho_k))``, where ``lp =
+    ln p_a`` and the sum runs over the other atoms, at offsets ``d`` and
+    with log-weights ``lw``: ``rho_k = ln p_k + ln f(x + d_k) - ln f(x)``,
+    which ``base.log_ratio`` writes into the K-1 x ``x.size`` buffer
+    ``rho``.
+
+    The second term is a log-sum-exp whose own-atom term ``lp`` needs no
+    row: with ``s = max(lp, max_k rho_k)`` it is ``s + ln(exp(lp - s) +
+    sum_k exp(rho_k - s))``, and nothing overflows.  A shifted term below
+    -700 is raised to -700 (``np.exp`` is slow past it), which moves the
+    score by at most ``(K-1) e^-700``, ~1e-304 per neighbour.  The score
+    is ``MixtureDensity.log_density(x, a)`` to within ~1e-14 relative, but
+    not with its far-field accuracy: where ``rho_k`` cancels two large
+    terms, their rounding is what is left."""
+    score = base.log_pdf(x)
+    base.log_ratio(x, d, lw, out=rho)
+    s = rho.max(axis=0, initial=lp)
+    rho -= s
+    np.maximum(rho, -700.0, out=rho)
+    np.exp(rho, out=rho)
+    rest = rho.sum(axis=0)
+    rest += np.exp(np.subtract(lp, s))
+    s += np.log(rest, out=rest)
+    np.add(score, s, out=x)
 
 
 def entropy_report(

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
@@ -22,7 +22,7 @@ from mixent.distributions import (
     UniformDensity,
 )
 from mixent.entropy import (
-    MC_BLOCK_CELLS,
+    MC_BLOCK_SAMPLES,
     MC_CHUNK_SAMPLES,
     EntropyMethod,
     McConfig,
@@ -419,12 +419,18 @@ class TestMcEntropy:
         assert abs(est.nats - mixture_entropy(m).nats) <= 4.0 * est.abs_error
 
     def test_far_atom_at_tiny_sigma_warns_nothing(self):
-        z = DiscreteLattice.from_json({"support": [0, 20000], "probs": [0.5, 0.5]})
-        m = MixtureDensity(GaussianDensity(1e-150), z)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = mc_entropy(m, McConfig(samples=2000, seed=0))
-        assert math.isfinite(est.nats) and math.isfinite(est.abs_error)
+        # d^2 / (2 sigma^2) overflows for both far atoms; 1.5e-154 is just
+        # above the smallest sigma, 2**-511
+        for sigma, z in (
+            (1e-150, DiscreteLattice((0, 20000), (0.5, 0.5))),
+            (1.5e-154, DiscreteLattice((0, 1, 10**6), (0.25, 0.5, 0.25))),
+        ):
+            m = MixtureDensity(GaussianDensity(sigma), z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = mc_entropy(m, McConfig(samples=2000, seed=0))
+            assert math.isfinite(est.nats) and math.isfinite(est.abs_error)
+            assert abs(est.nats - mixture_entropy(m).nats) <= 4.0 * est.abs_error
 
     def test_memory_stays_bounded_for_many_atoms(self):
         # one K x N array would take 24 bytes per cell: ~458 MiB here
@@ -438,7 +444,7 @@ class TestMcEntropy:
         assert peak < 16 * 2**20
 
     def test_holds_one_array_of_the_sample_size(self):
-        # 8 MiB of noise, overwritten by its log-densities, and 1 MiB blocks;
+        # 8 MiB of noise, overwritten by its log-densities, and 256 KiB blocks;
         # a separate log-density array and np.std's temporary would add 16 MiB
         m = MixtureDensity(GaussianDensity(0.25), FAIR)
         mc_entropy(m, McConfig(samples=2, seed=0))  # lazy imports, ~0.7 MiB
@@ -451,7 +457,7 @@ class TestMcEntropy:
         assert peak < 12 * 2**20
 
     def test_one_atom_law_over_a_partial_block_is_the_base_log_pdf(self):
-        n = MC_BLOCK_CELLS + 5
+        n = MC_BLOCK_SAMPLES + 5
         g = GaussianDensity(0.7)
         est = mc_entropy(MixtureDensity(g, DiscreteLattice.point_mass(3)), McConfig(n, 9))
         rng = np.random.default_rng(9)
@@ -481,8 +487,8 @@ class TestMcEntropy:
         return counts
 
     def test_zero_count_atom_and_partial_blocks_match_scipy(self):
-        counts = self._against_scipy(3 * (MC_BLOCK_CELLS // 3) + 7, 4)
-        assert counts[1] == 0 and counts[0] > MC_BLOCK_CELLS // 3
+        counts = self._against_scipy(2 * MC_BLOCK_SAMPLES + 7, 4)
+        assert counts[1] == 0 and counts[0] > MC_BLOCK_SAMPLES
 
     def test_chunk_merge_matches_scipy(self):
         # three chunks, the last of 7 samples; both atom runs cross an edge
@@ -505,3 +511,37 @@ class TestMcEntropy:
         assert (got.nats.hex(), got.abs_error.hex()) == (
             want.nats.hex(), want.abs_error.hex())
         assert np.array_equal(shared, kept)
+
+
+@st.composite
+def _own_atom_case(draw):
+    """A law of up to 7 atoms with gaps of at most 3 and one more atom 10^3
+    past them, a base of scale ``sigma``, one of its atoms and noises that
+    a sample of that atom can have: ``z sigma`` with ``|z| <= 8`` for a
+    Gaussian, and inside the support for a uniform of half-width sigma."""
+    gaps = draw(st.lists(st.integers(1, 3), max_size=6))
+    support = np.cumsum([0] + gaps).tolist()
+    support.append(support[-1] + 1000)
+    weights = draw(st.lists(
+        st.floats(1e-6, 1.0), min_size=len(support), max_size=len(support)))
+    z = DiscreteLattice(tuple(support), tuple(np.divide(weights, math.fsum(weights))))
+    sigma = 10.0 ** draw(st.floats(-3.0, math.log10(50.0)))
+    gaussian = draw(st.booleans())
+    base = GaussianDensity(sigma) if gaussian else UniformDensity(sigma)
+    bound = 8.0 if gaussian else 1.0 - 2.0**-52
+    zs = draw(st.lists(st.floats(-bound, bound), min_size=1, max_size=20))
+    return z, base, draw(st.integers(0, len(support) - 1)), np.multiply(zs, sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_own_atom_case())
+def test_own_atom_scores_match_log_density(case):
+    z, base, a, x = case
+    lps = np.asarray(z.log_probs)
+    near = np.arange(len(lps)) != a
+    shifts = (z.support[a] - np.asarray(z.support, dtype=float)[near])[:, None]
+    got = x.copy()
+    rho = np.empty((len(lps) - 1, x.size))
+    entropy_mod._own_atom_scores(base, got, lps[a], shifts, lps[near][:, None], rho)
+    want = MixtureDensity(base, z).log_density(x, z.support[a])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
