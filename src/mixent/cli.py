@@ -39,16 +39,12 @@ _SWEEP_COLUMNS_HELP = (
 )
 
 
-class CliError(Exception):
-    """Invalid arguments or inputs; maps to exit code 2."""
-
-
 def _parse_dist(spec: str) -> DiscreteLattice:
     text = spec.strip()
     if not text.startswith("{"):
         path = Path(text)
         if not path.exists():
-            raise CliError(f"distribution file not found: {text}")
+            raise ValueError(f"distribution file not found: {text}")
         text = path.read_text(encoding="utf-8")
     return DiscreteLattice.from_json(text)
 
@@ -141,12 +137,12 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def _sigma_grid(args: argparse.Namespace) -> np.ndarray:
     if not (0.0 < args.sigma_start <= args.sigma_end < math.inf):
-        raise CliError(
+        raise ValueError(
             f"need 0 < sigma-start <= sigma-end < inf "
             f"(got {args.sigma_start!r}, {args.sigma_end!r})"
         )
     if args.steps < 1:
-        raise CliError(f"steps must be >= 1 (got {args.steps})")
+        raise ValueError(f"steps must be >= 1 (got {args.steps})")
     return np.geomspace(args.sigma_start, args.sigma_end, args.steps)
 
 
@@ -287,11 +283,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OverflowError, MemoryError, OSError) as exc:
-        # ValueError covers bad laws and sample counts, OverflowError a
-        # scale too large to square or reach, MemoryError a step or sample
-        # count too large to allocate, OSError an unreadable --dist or
-        # unwritable --output: usage errors
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+        # ValueError covers bad laws, sample counts and sweep grids and a
+        # missing --dist file, OverflowError a scale too large to square or
+        # reach, MemoryError a step or sample count too large to allocate,
+        # OSError an unreadable --dist or unwritable --output: usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

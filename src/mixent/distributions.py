@@ -268,26 +268,28 @@ def tail_mass(g: GaussianDensity, z: float) -> float:
     return 0.5 * math.erfc(float(z) / (g.sigma * math.sqrt(2.0)))
 
 
-def _log_sum_exp(t: np.ndarray) -> np.ndarray:
-    """``ln sum exp(t)`` over the atoms on axis 0, shifted by their maximum
-    so that nothing overflows; a column of ``-inf`` gives ``-inf``.  Works
-    in place: ``t`` is overwritten.
+def _log_sum_exp(t: np.ndarray, initial: float = -np.inf) -> np.ndarray:
+    """``ln(exp(initial) + sum_k exp(t_k))`` over the atoms on axis 0,
+    shifted by the largest term so that nothing overflows: ``initial`` is
+    a term that needs no row (a Monte Carlo sample's own atom), and a
+    column with no mass gives ``-inf``.  Works in place: ``t`` is
+    overwritten.
 
-    After the shift every column with mass holds an exact 1, so a term
+    After the shift each column with mass has a term of exactly 1, so a term
     below ``e^-700`` (~1e-304) cannot move its sum; such terms are raised
     to -700 first, because ``np.exp`` is many times slower where its
-    result is subnormal, underflows or is taken at -inf, and a column with
-    no mass gets the sum 0."""
-    top = t.max(axis=0, keepdims=True)
-    dead = top == -np.inf
-    top[dead] = 0.0
-    t -= top
-    np.maximum(t, -700.0, out=t)
+    result is subnormal, underflows or is taken at -inf.  A column with no
+    mass shifts to ``-inf - -inf``, a NaN, which ``fmax`` raises to -700
+    too, so its sum is finite and ``-inf`` plus its log is ``-inf``."""
+    top = t.max(axis=0, initial=initial)
+    with np.errstate(invalid="ignore"):
+        t -= top
+    np.fmax(t, -700.0, out=t)
     np.exp(t, out=t)
-    total = t.sum(axis=0, keepdims=True)
-    total[dead] = 0.0
-    with np.errstate(divide="ignore"):
-        return (top + np.log(total))[0]
+    total = t.sum(axis=0)
+    if initial > -np.inf:
+        total += np.exp(initial - top)
+    return top + np.log(total)
 
 
 @dataclass(frozen=True)

@@ -260,32 +260,29 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
 
     ``MixtureDensity.sample`` draws the atom counts by one multinomial and
     the noise apart from them; ``_mc_estimate`` scores each sample against
-    its own atom and reduces the scores in the noise array itself, so the
-    estimate holds one array of N doubles for any number of atoms K, not
-    O(K N).
+    its own atom a chunk at a time, so the estimate holds the noise array
+    and one chunk-sized buffer for any number of atoms K, not O(K N).
     """
     counts, noise = m.sample(np.random.default_rng(cfg.seed), cfg.samples)
     return _mc_estimate(m, counts, noise)
 
 
-def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
-    """The Monte Carlo estimate of ``h(m)`` from the atom counts and the
-    noise of ``m.sample``, or, given ``scale``, from the noise ``noise *
-    scale`` (``noise`` is then only read, and the bits are those of the
-    estimate given ``noise * scale``).
+def _mc_estimate(m, counts, noise, scale=1.0) -> EntropyValue:
+    """The Monte Carlo estimate of ``h(m)`` from the atom counts of
+    ``m.sample`` and the noise ``noise * scale`` (its noise at the default
+    ``scale``, which multiplies exactly); ``noise`` is only read.
 
     A sample of atom ``a`` with noise ``x`` is scored against its own
     atom, in exact coordinates: ``ln f(x) + ln(p_a + sum_{k != a} p_k
     f(x + a - k) / f(x))``, each ratio from ``m.base.log_ratio`` (see
     ``_own_atom_scores``).  ``m.log_density(x, a)`` is the same value by K
     log-pdf evaluations; this is one multiply-add per (neighbour, sample).
-    The sample is walked in chunks of ``MC_CHUNK_SAMPLES``, each held in
-    one chunk-sized buffer: the noise array itself, or, given ``scale``,
-    one array that receives each chunk's scaled noise.  Each atom's run
+    The sample is walked in chunks of ``MC_CHUNK_SAMPLES``, each chunk's
+    scaled noise written into one chunk-sized buffer.  Each atom's run
     within a chunk is scored in blocks of at most ``MC_BLOCK_SAMPLES``
     samples, with one preallocated buffer of K - 1 rows (fewer samples
     where that buffer would pass ``MC_CHUNK_SAMPLES`` doubles), and its
-    scores overwrite the noise they came from.
+    scores overwrite the scaled noise they came from.
     A chunk's mean and sum of squared deviations are reduced by the
     operations of ``np.mean`` and ``np.std(ddof=1)`` and merged into the
     running totals by the pairwise update of Chan, Golub and LeVeque, every
@@ -300,15 +297,13 @@ def _mc_estimate(m, counts, noise, scale=None) -> EntropyValue:
     others = len(counts) - 1
     step = max(1, min(MC_BLOCK_SAMPLES, MC_CHUNK_SAMPLES // max(others, 1)))
     cells = np.empty(others * min(step, n))
-    buf = None if scale is None else np.empty(min(n, MC_CHUNK_SAMPLES))
+    buf = np.empty(min(n, MC_CHUNK_SAMPLES))
     ends = np.cumsum(counts).tolist()
     runs = list(zip([0] + ends[:-1], ends))
     mean = m2 = -0.0
     for c0 in range(0, n, MC_CHUNK_SAMPLES):
         c1 = min(c0 + MC_CHUNK_SAMPLES, n)
-        ld = noise[c0:c1]
-        if scale is not None:
-            ld = np.multiply(ld, scale, out=buf[: c1 - c0])
+        ld = np.multiply(noise[c0:c1], scale, out=buf[: c1 - c0])
         for a, (start, end) in enumerate(runs):
             first, stop = max(start - c0, 0), min(end, c1) - c0
             if first >= stop:
@@ -339,26 +334,15 @@ def _own_atom_scores(base, x, lp, d, lw, rho) -> None:
     ln p_a`` and the sum runs over the other atoms, at offsets ``d`` and
     with log-weights ``lw``: ``rho_k = ln p_k + ln f(x + d_k) - ln f(x)``,
     which ``base.log_ratio`` writes into the K-1 x ``x.size`` buffer
-    ``rho``.
+    ``rho``.  The second term is ``_log_sum_exp`` over those rows with the
+    own atom's ``lp`` as its ``initial`` term, which needs no row.
 
-    The second term is a log-sum-exp whose own-atom term ``lp`` needs no
-    row: with ``s = max(lp, max_k rho_k)`` it is ``s + ln(exp(lp - s) +
-    sum_k exp(rho_k - s))``, and nothing overflows.  A shifted term below
-    -700 is raised to -700 (``np.exp`` is slow past it), which moves the
-    score by at most ``(K-1) e^-700``, ~1e-304 per neighbour.  The score
-    is ``MixtureDensity.log_density(x, a)`` to within ~1e-14 relative, but
-    not with its far-field accuracy: where ``rho_k`` cancels two large
-    terms, their rounding is what is left."""
+    The score is ``MixtureDensity.log_density(x, a)`` to within ~1e-14
+    relative, but not with its far-field accuracy: where ``rho_k`` cancels
+    two large terms, their rounding is what is left."""
     score = base.log_pdf(x)
     base.log_ratio(x, d, lw, out=rho)
-    s = rho.max(axis=0, initial=lp)
-    rho -= s
-    np.maximum(rho, -700.0, out=rho)
-    np.exp(rho, out=rho)
-    rest = rho.sum(axis=0)
-    rest += np.exp(np.subtract(lp, s))
-    s += np.log(rest, out=rest)
-    np.add(score, s, out=x)
+    np.add(score, _log_sum_exp(rho, lp), out=x)
 
 
 def entropy_report(

@@ -386,15 +386,27 @@ class TestLogDensityKernel:
         x = (np.linspace(-3.0, k + 2.0, 60) + 0.123)[: math.prod(shape)].reshape(shape)
         got = MixtureDensity(GaussianDensity(sigma), z).log_density(x)
         col = (-1,) + (1,) * x.ndim
-        want = logsumexp(
-            np.reshape(z.log_probs, col)
-            + norm.logpdf(x - np.reshape(z.support, col), scale=sigma),
-            axis=0,
+        terms = np.reshape(z.log_probs, col) + norm.logpdf(
+            x - np.reshape(z.support, col), scale=sigma
         )
+        want = logsumexp(terms, axis=0)
         assert np.shape(got) == shape
         if shape == ():
             assert type(got) is np.float64
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        # the kernel itself with a term that needs no row, on these terms
+        # plus a column with no mass, and on no terms at all
+        t = np.column_stack([terms.reshape(k, -1), np.full(k, -np.inf)])
+        initial = -2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _log_sum_exp(t.copy(), initial)
+            empty = _log_sum_exp(t[:0].copy(), initial)
+            dead = _log_sum_exp(t.copy())[-1]
+        want = logsumexp(np.vstack([t, np.full(t.shape[1], initial)]), axis=0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert np.all(empty == initial) and empty.shape == (t.shape[1],)
+        assert dead == -np.inf
 
     @pytest.mark.parametrize("k", [1, 3, 8, 40])
     def test_uniform_base_is_minus_inf_outside_its_support(self, k):

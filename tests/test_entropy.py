@@ -444,8 +444,9 @@ class TestMcEntropy:
         assert peak < 16 * 2**20
 
     def test_holds_one_array_of_the_sample_size(self):
-        # 8 MiB of noise, overwritten by its log-densities, and 256 KiB blocks;
-        # a separate log-density array and np.std's temporary would add 16 MiB
+        # 8 MiB of noise, only read, a 2 MiB chunk of its log-densities and
+        # 256 KiB blocks; a log-density array of the sample size and np.std's
+        # temporary would add 16 MiB
         m = MixtureDensity(GaussianDensity(0.25), FAIR)
         mc_entropy(m, McConfig(samples=2, seed=0))  # lazy imports, ~0.7 MiB
         tracemalloc.start()
@@ -469,8 +470,9 @@ class TestMcEntropy:
     @staticmethod
     def _against_scipy(n, seed):
         """``mc_entropy`` at ``n`` samples of a law with a 1e-12-weight atom
-        against one full-array scipy evaluation of the same sample; the
-        atom counts."""
+        against one full-array scipy evaluation of the same sample, and
+        against ``_mc_estimate`` of that sample, which must leave its noise
+        as it was; the atom counts."""
         z = DiscreteLattice((-2, 0, 5), (0.6, 1e-12, 0.4 - 1e-12))
         sigma = 0.8
         m = MixtureDensity(GaussianDensity(sigma), z)
@@ -482,6 +484,9 @@ class TestMcEntropy:
             axis=0,
         )
         est = mc_entropy(m, McConfig(n, seed))
+        kept = noise.copy()
+        assert entropy_mod._mc_estimate(m, counts, noise) == est
+        assert np.array_equal(noise, kept)  # the estimate only reads it
         assert est.nats == pytest.approx(-np.mean(want), rel=1e-14)
         assert est.abs_error == pytest.approx(np.std(want, ddof=1) / math.sqrt(n), rel=1e-12)
         return counts
