@@ -29,14 +29,7 @@ from .distributions import (
     UniformDensity,
     tail_mass,
 )
-from .entropy import (
-    McConfig,
-    _mc_estimate,
-    deficit_direct,
-    deficit_via_identity,
-    entropy_report,
-    mixture_entropy,
-)
+from .entropy import McConfig, _mc_estimate, entropy_report
 from .landauer import BitMemoryModel, reset_report
 from .numerics import _LN2, gaussian_tail_lower, lattice_sum
 
@@ -265,24 +258,24 @@ def check_landauer() -> CheckResult:
 
 
 def check_equality_cases() -> CheckResult:
-    """Point-mass Z and narrow uniform base give zero deficit."""
+    """Point-mass Z and narrow uniform base give zero deficit, judged on one
+    entropy report each."""
     failures = []
-    g = GaussianDensity(0.25)
-    point = DiscreteLattice.point_mass(0)
-    dd = deficit_direct(point, g)
+    point = entropy_report(DiscreteLattice.point_mass(0), GaussianDensity(0.25))
+    dd, di = point["delta_direct"], point["delta_identity"]
     if not abs(dd.nats) <= 1e-12:
         failures.append(f"point mass: direct deficit {dd.nats!r} not 0 within 1e-12")
-    di = deficit_via_identity(point, g)
     if not abs(di.nats) <= 1e-10:
         failures.append(f"point mass: identity deficit {di.nats!r} not 0 within 1e-10")
-    z = DiscreteLattice.bernoulli(0.5)
-    u = UniformDensity(0.25)
-    hm = mixture_entropy(MixtureDensity(u, z))
+    uniform = entropy_report(DiscreteLattice.bernoulli(0.5), UniformDensity(0.25))
+    hm, du = uniform["h_mixture"], uniform["delta_identity"]
     if not abs(hm.nats) <= 1e-12:
         failures.append(f"uniform base: h(X+Z) = {hm.nats!r} not 0 within 1e-12")
-    du = deficit_via_identity(z, u, hm)
     if not abs(du.nats) <= 1e-12:
         failures.append(f"uniform base: deficit {du.nats!r} not 0 within 1e-12")
+    ud = uniform["delta_direct"]
+    if not abs(ud.nats) <= 1e-12:
+        failures.append(f"uniform base: direct deficit {ud.nats!r} not 0 within 1e-12")
     return _result("equality_cases", failures, "both equality cases exact")
 
 

@@ -41,7 +41,7 @@ _SWEEP_COLUMNS_HELP = (
 
 def _parse_dist(spec: str) -> DiscreteLattice:
     text = spec.strip()
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):
         path = Path(text)
         if not path.exists():
             raise ValueError(f"distribution file not found: {text}")

@@ -27,7 +27,8 @@ from .numerics import _LN2
 class BitMemoryModel:
     """Double-well bit: well centers at ``+-mu``, in-well deviation ``sigma``,
     probability ``p1`` of logic state one; ``sigma`` and ``p1`` are checked
-    by the unit-lattice noise and law they map to."""
+    by the unit-lattice noise and law they map to, and ``sigma`` also as the
+    in-well noise whose entropy ``reset_report`` takes."""
 
     mu: float
     sigma: float
@@ -37,6 +38,7 @@ class BitMemoryModel:
         _positive(self.mu, "mu")
         try:
             rescale_to_unit_lattice(self)
+            GaussianDensity(self.sigma)
         except DistributionError as exc:
             fields = f"mu {self.mu!r}, sigma {self.sigma!r}, p1 {self.p1!r}"
             raise DistributionError(f"{fields}: {exc}") from exc

@@ -35,20 +35,28 @@ THREE_ATOM = DiscreteLattice((0, 1, 2), (0.2, 0.5, 0.3))
 FAIR_BERNOULLI_025 = "0.06042698682307832775822"
 
 
-def fair_bernoulli_deficit_mp(sigma: float, dps: int = 30) -> mpmath.mpf:
-    """Fair Bernoulli deficit by mpmath quadrature.  Both atoms contribute
-    the same term, ``int f(x) ln(1 + f(x-1)/f(x)) dx``, and the ratio is
-    ``exp((2x - 1) / (2 sigma^2))``."""
-    with mpmath.workdps(dps):
-        s = mpmath.mpf(sigma)
-        c = 1 / (2 * s * s)
-        norm = 1 / (mpmath.sqrt(2 * mpmath.pi) * s)
+@functools.lru_cache(maxsize=None)
+def pair_deficit_mp(z: DiscreteLattice, sigma: float) -> mpmath.mpf:
+    """Deficit of a two-atom law by 30-digit quadrature of its Fourier form
 
-        def integrand(x):
-            ratio = mpmath.exp(c * (2 * x - 1))
-            return norm * mpmath.exp(-c * x * x) * mpmath.log1p(ratio)
+        2 sqrt(pq) e^-a int_0^inf e^(-a t^2) cos(lam t / 2) sech(pi t / 2) / (1 + t^2) dt,
 
-        return mpmath.quad(integrand, [-mpmath.inf, 0, 0.5, 1, mpmath.inf])
+    with ``a = d^2 / (8 sigma^2)``, ``d`` the gap and ``lam = ln(p/q)``.  The
+    integrand peaks at t = 0 at every sigma and decays within
+    ``w = sqrt(200 / a)`` (at most 60, where sech has taken over), so the
+    same four panels serve every sigma."""
+    (k, j), (p, q) = z.support, z.probs
+    with mpmath.workdps(30):
+        a = mpmath.mpf(j - k) ** 2 / (8 * mpmath.mpf(sigma) ** 2)
+        lam = mpmath.log(mpmath.mpf(p) / q)
+        w = min(60, mpmath.sqrt(200 / a))
+
+        def integrand(t):
+            return (mpmath.exp(-a * t * t) * mpmath.cos(lam * t / 2)
+                    * mpmath.sech(mpmath.pi * t / 2) / (1 + t * t))
+
+        i = mpmath.quad(integrand, [0, w / 8, w / 2, w, mpmath.inf])
+        return 2 * mpmath.sqrt(mpmath.mpf(p) * q) * mpmath.exp(-a) * i
 
 
 # Breaks around each crossover, where the integrand varies on a scale of
@@ -59,7 +67,8 @@ CROSSOVER_STEPS = (-64, -16, -4, -1, 0, 1, 4, 16, 64)
 
 @functools.lru_cache(maxsize=None)
 def deficit_mp(z: DiscreteLattice, sigma: float) -> mpmath.mpf:
-    """Deficit of any law by 50-digit Gauss-Legendre quadrature of
+    """Deficit of any law (the tests use it from three atoms up) by 50-digit
+    Gauss-Legendre quadrature of
 
         sum_k p_k int f(x-k) log1p(sum_{j!=k} p_j f(x-j) / (p_k f(x-k))) dx,
 
@@ -100,8 +109,15 @@ def deficit_mp(z: DiscreteLattice, sigma: float) -> mpmath.mpf:
 
 def test_mpmath_reference_reproduces_published_digits():
     with mpmath.workdps(30):
-        ref = fair_bernoulli_deficit_mp(0.25)
+        ref = pair_deficit_mp(FAIR, 0.25)
         assert abs(ref - mpmath.mpf(FAIR_BERNOULLI_025)) < mpmath.mpf("1e-22")
+
+
+def test_two_atom_reference_matches_the_x_form():
+    # the two oracles share no code: one integrates over t, the other over x
+    with mpmath.workdps(30):
+        x_form = deficit_mp(FAIR, 0.05)
+        assert abs(pair_deficit_mp(FAIR, 0.05) / x_form - 1) < mpmath.mpf("1e-25")
 
 
 @pytest.mark.parametrize("route", [deficit_direct, deficit_via_identity])
@@ -116,7 +132,7 @@ def test_fair_bernoulli_matches_mpmath(route):
 def test_separated_clusters_decompose(route, far, sigma):
     # the atom at `far` overlaps nothing, so delta = 0.8 * delta_Bern(1/2)
     z = DiscreteLattice((0, 1, far), (0.4, 0.4, 0.2))
-    expected = 0.8 * float(fair_bernoulli_deficit_mp(sigma))
+    expected = 0.8 * float(pair_deficit_mp(FAIR, sigma))
     v = route(z, GaussianDensity(sigma))
     assert v.converged
     assert abs(v.nats - expected) <= v.abs_error
@@ -149,7 +165,8 @@ PINNED = [
     ("geometric{0..5}", 0.45, 0.42457010473071677, 1.5003927192117508),
     ("geometric{0..5}", 1.0, 0.8990996672873931, 1.8243708528728457),
 ]
-# (law, sigma, mixture_entropy): the deficit is checked against deficit_mp
+# (law, sigma, mixture_entropy): the deficit is checked against the mpmath
+# reference
 PINNED_SMALL_SIGMA = [
     ("bernoulli(1/2)", 0.05, -0.883646559789373),
     ("bernoulli(0.3)", 0.05, -0.9659294382944245),
@@ -177,14 +194,15 @@ def test_small_sigma_values(label, sigma, h_mixture):
     z = LAWS[label]
     g = GaussianDensity(sigma)
     dd = deficit_direct(z, g)
-    truth = float(deficit_mp(z, sigma))
+    oracle = pair_deficit_mp if len(z.support) == 2 else deficit_mp
+    truth = float(oracle(z, sigma))
     assert dd.converged
     assert abs(dd.nats - truth) <= 1e-10 * truth
     assert dd.abs_error <= 1e-10 * truth
     assert abs(mixture_entropy(MixtureDensity(g, z)).nats - h_mixture) <= 1e-12
 
 
-# 50-digit fair Bernoulli deficits, rounded to 11 digits
+# fair Bernoulli deficits (``deficit_mp`` at 50 digits), rounded to 11 digits
 @pytest.mark.parametrize(
     "sigma, truth",
     [
@@ -195,7 +213,7 @@ def test_small_sigma_values(label, sigma, h_mixture):
     ],
 )
 def test_fair_bernoulli_small_sigma_truths(sigma, truth):
-    assert abs(float(deficit_mp(FAIR, sigma)) - truth) <= 1e-10 * truth
+    assert abs(float(pair_deficit_mp(FAIR, sigma)) - truth) <= 1e-10 * truth
     assert abs(deficit_direct(FAIR, GaussianDensity(sigma)).nats - truth) <= 1e-10 * truth
 
 
@@ -232,7 +250,7 @@ def test_scaled_fold_sees_the_small_sigma_deficit():
         _deficit_body, FAIR.support, [lp + s for lp in FAIR.log_probs],
         GaussianDensity(sigma),
     )
-    truth = float(mpmath.log(deficit_mp(FAIR, sigma)))  # -10817.913933510681
+    truth = float(mpmath.log(pair_deficit_mp(FAIR, sigma)))  # -10817.913933510681
     assert abs(math.log(v.nats) - s - truth) <= v.abs_error / v.nats
 
 

@@ -187,6 +187,8 @@ class TestDeficit:
         exact = discrete_entropy(z).nats + gaussian_entropy(g).nats
         assert hm.converged
         assert abs(hm.nats - exact) <= 1e-12 * abs(exact)
+        di = deficit_via_identity(z, g, hm)
+        assert abs(di.nats) <= di.abs_error
 
     def test_nonconvergence_propagates(self, unreachable_tolerance):
         dd = deficit_direct(FAIR, GaussianDensity(0.25))

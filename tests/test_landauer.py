@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -39,6 +40,17 @@ class TestBitMemoryModel:
     def test_rejects_invalid_parameters(self, kwargs):
         with pytest.raises(DistributionError):
             BitMemoryModel(**kwargs)
+
+    @pytest.mark.parametrize("mu, sigma", [(1e-10, 1e-160), (1e200, 1e200)])
+    def test_in_well_sigma_beyond_a_double_names_the_model(self, capsys, mu, sigma):
+        # sigma / (2 mu) is a fine unit-lattice noise, but the in-well noise
+        # itself squares out of range: construction says so, not the report
+        fault = f"mu {mu!r}, sigma {sigma!r}, p1 0.5: sigma {sigma!r} is outside"
+        with pytest.raises(DistributionError, match="^" + re.escape(fault)):
+            BitMemoryModel(mu=mu, sigma=sigma, p1=0.5)
+        argv = ["landauer", "--mu", repr(mu), "--sigma", repr(sigma), "--p1", "0.5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: " + fault)
 
 
 class TestBinaryEntropy:
