@@ -282,7 +282,11 @@ def _mc_estimate(m, counts, noise, scale=1.0) -> EntropyValue:
     within a chunk is scored in blocks of at most ``MC_BLOCK_SAMPLES``
     samples, with one preallocated buffer of K - 1 rows (fewer samples
     where that buffer would pass ``MC_CHUNK_SAMPLES`` doubles), and its
-    scores overwrite the scaled noise they came from.
+    scores overwrite the scaled noise they came from.  On a Gaussian base
+    an atom whose neighbour rows are all below ``ln p_a - 40 - ln(K - 1)``
+    at the chunk's extreme noises gets ``ln f(x) + ln p_a`` for every
+    score in the chunk, with no rows: the score the rows would give, to
+    the bit (see the comment at ``cut``).
     A chunk's mean and sum of squared deviations are reduced by the
     operations of ``np.mean`` and ``np.std(ddof=1)`` and merged into the
     running totals by the pairwise update of Chan, Golub and LeVeque, every
@@ -292,6 +296,7 @@ def _mc_estimate(m, counts, noise, scale=1.0) -> EntropyValue:
     +0.0), so for N <= ``MC_CHUNK_SAMPLES`` the bits are numpy's.
     """
     n = noise.size
+    base = m.base
     support = np.asarray(m.lattice.support, dtype=float)
     lps = np.asarray(m.lattice.log_probs)
     others = len(counts) - 1
@@ -300,21 +305,48 @@ def _mc_estimate(m, counts, noise, scale=1.0) -> EntropyValue:
     buf = np.empty(min(n, MC_CHUNK_SAMPLES))
     ends = np.cumsum(counts).tolist()
     runs = list(zip([0] + ends[:-1], ends))
+
+    def neighbours(a):
+        """Atom ``a``'s neighbours: offsets and log-weights, one row each."""
+        near = np.arange(others + 1) != a
+        return (support[a] - support[near])[:, None], lps[near][:, None]
+
+    # K - 1 neighbour terms, each below e^-40 / (K - 1) of p_a, sum below
+    # e^-40 < 2^-53 of it: the log-sum-exp's 1 + sum rounds to 1, so the
+    # score is ln f(x) + ln p_a to the bit.  A Gaussian row
+    # fl(fl(slope x) + const) is monotone in x: below the cut at a chunk's
+    # extreme noises, it is below it on the whole chunk.  The extremes are
+    # taken only for atoms whose rows are below the cut at x = 0.
+    cut = lps - (40.0 + math.log(max(others, 1)))
+    far = [
+        others > 0
+        and isinstance(base, GaussianDensity)
+        and base.log_ratio(np.zeros(1), *neighbours(a), np.empty((others, 1))).max()
+        < cut[a]
+        for a in range(others + 1)
+    ]
     mean = m2 = -0.0
     for c0 in range(0, n, MC_CHUNK_SAMPLES):
         c1 = min(c0 + MC_CHUNK_SAMPLES, n)
         ld = np.multiply(noise[c0:c1], scale, out=buf[: c1 - c0])
+        if any(far):
+            extremes = np.array([ld.min(), ld.max()])
         for a, (start, end) in enumerate(runs):
             first, stop = max(start - c0, 0), min(end, c1) - c0
             if first >= stop:
                 continue
-            near = np.arange(others + 1) != a
-            shifts = (support[a] - support[near])[:, None]
-            lw = lps[near][:, None]
+            shifts, lw = neighbours(a)
+            skip = far[a] and (
+                base.log_ratio(extremes, shifts, lw, np.empty((others, 2))).max()
+                < cut[a]
+            )
             for lo in range(first, stop, step):
                 x = ld[lo : min(lo + step, stop)]
-                rho = cells[: others * x.size].reshape(others, x.size)
-                _own_atom_scores(m.base, x, lps[a], shifts, lw, rho)
+                if skip:
+                    np.add(base.log_pdf(x), lps[a], out=x)
+                else:
+                    rho = cells[: others * x.size].reshape(others, x.size)
+                    _own_atom_scores(base, x, lps[a], shifts, lw, rho)
         k = c1 - c0
         chunk_mean = np.add.reduce(ld) / k
         ld -= chunk_mean

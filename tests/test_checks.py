@@ -1,9 +1,10 @@
 """The validate checks report a broken inequality as a failure, quoting it,
 the fair-Bernoulli bound checks share one deficit per sigma, and the
 identity and Monte Carlo checks share one mixture entropy per law and sigma.
-The entropy reports run on a pool of one worker per usable CPU; they share
-one noise draw, the worker count changes no bit, and a failing report stops
-the pool early."""
+The entropy reports, heaviest first, and then the sandwich reports and
+three more checks run on a pool of one worker per usable CPU; the reports
+share one noise draw, the worker count changes no bit, and a failing
+report stops the pool early."""
 
 import dataclasses
 import math
@@ -285,10 +286,13 @@ def test_worker_count_changes_no_bit():
 
 
 def test_a_failing_report_cancels_the_queued_ones(monkeypatch):
-    # pair 0 fails at once while its neighbours take 20 ms each: the pool
-    # must not start all 20 before the error comes back
+    # the first pair submitted, the most atoms' at the smallest sigma,
+    # fails at once while the others take 20 ms each: the pool must not
+    # start all 20 before the error comes back
     calls = []
-    first = (FAIR, GaussianDensity(checks.IDENTITY_SIGMA_GRID[0]))
+    laws = checks.grid_laws()
+    heaviest = max(laws.values(), key=lambda z: len(z.support))
+    first = (heaviest, GaussianDensity(checks.IDENTITY_SIGMA_GRID[0]))
 
     def failing(z, base):
         calls.append((z, base))

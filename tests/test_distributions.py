@@ -374,6 +374,47 @@ def test_log_sum_exp_clamp_keeps_the_bits(columns):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _log_sum_exp_general(t: np.ndarray, initial: float) -> np.ndarray:
+    """The max-shifted log-sum-exp over the atoms plus an ``initial``
+    term, each row's shifted term raised to -700 before its exp."""
+    top = t.max(axis=0, initial=initial)
+    with np.errstate(invalid="ignore"):
+        total = np.exp(np.fmax(t - top, -700.0)).sum(axis=0)
+    total += np.exp(initial - top)
+    return top + np.log(total)
+
+
+@st.composite
+def _two_terms(draw):
+    """A finite ``initial`` and one row of terms around it: ordinary
+    values, ``+-inf``, ties and gaps of either sign near and beyond 700."""
+    initial = draw(st.floats(-1e4, 50.0))
+    term = st.one_of(
+        st.floats(-1e4, 1e4),
+        st.sampled_from([-math.inf, math.inf, initial]),
+        st.floats(-760.0, 760.0).map(lambda gap: initial + gap),
+        st.floats(690.0, 1e6).map(lambda gap: initial - gap),
+        st.floats(-1e-12, 1e-12).map(lambda gap: initial + gap),
+    )
+    return initial, draw(st.lists(term, min_size=1, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@example(case=(-0.7, [-0.7, -math.inf, math.inf, -700.7, 699.3, -1e300]))
+@given(case=_two_terms())
+def test_two_term_log_sum_exp_keeps_the_bits(case):
+    initial, terms = case
+    t = np.array([terms])
+    want = _log_sum_exp_general(t.copy(), initial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_sum_exp(t.copy(), initial)
+        one = _log_sum_exp(t[:, 0].copy(), initial)  # a single column
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.float64(one).view(np.int64) == want[0].view(np.int64)
+    assert np.ndim(one) == 0
+
+
 class TestLogDensityKernel:
     """``log_density`` against a per-point reference that shares no code
     with it: scipy's log-sum-exp over scipy's normal log-density."""
@@ -419,22 +460,35 @@ class TestLogDensityKernel:
         assert np.all(np.isfinite(ld[~outside]))
 
 
-# mc_entropy(grid law, sigma 0.25, N = 10**5, seed MC_SEED) as
-# (nats, standard error), captured from the multinomial draw with each
-# sample scored against its own atom: the same bits, not merely close values
+# mc_entropy(law, sigma, N = 10**5, seed MC_SEED) as (nats, standard
+# error), by (law, sigma), captured from the multinomial draw with each
+# sample scored against its own atom: the same bits, not merely close
+# values.  At sigma 0.05 every atom's neighbours are far enough out that
+# the kernel scores its samples without their rows, a chunk at a time.
 MC_BIT_PIN = {
-    "bernoulli(1/2)": ("0x1.552323fff8480p-1", "0x1.de610d8e5d73cp-10"),
-    "bernoulli(0.3)": ("0x1.2f1219e70e53bp-1", "0x1.20b66d9b4fd5fp-9"),
-    "uniform{-1,0,1}": ("0x1.0d50e8a56c816p+0", "0x1.b37811bdbe07ap-10"),
-    "geometric{0..5}": ("0x1.413be926d8f7cp+0", "0x1.88cc0d75a6db2p-9"),
+    ("bernoulli(1/2)", 0.25): ("0x1.552323fff8480p-1", "0x1.de610d8e5d73cp-10"),
+    ("bernoulli(0.3)", 0.25): ("0x1.2f1219e70e53bp-1", "0x1.20b66d9b4fd5fp-9"),
+    ("uniform{-1,0,1}", 0.25): ("0x1.0d50e8a56c816p+0", "0x1.b37811bdbe07ap-10"),
+    ("geometric{0..5}", 0.25): ("0x1.413be926d8f7cp+0", "0x1.88cc0d75a6db2p-9"),
+    ("bernoulli(1/2)", 0.05): ("-0x1.c2fd4944f4280p-1", "0x1.276dd46cd5b68p-9"),
+    ("bernoulli(0.3)", 0.05): ("-0x1.ec6dafde90867p-1", "0x1.50bffb432cdf0p-9"),
+    ("uniform{-1,0,1}", 0.05): ("-0x1.e6bf569568d91p-2", "0x1.2775d37ead811p-9"),
+    ("geometric{0..5}", 0.05): ("-0x1.13fbd3a745f8ap-2", "0x1.c426160a62fa4p-9"),
+    ("uniform_support(12)", 0.05): ("0x1.d25f7678f2a82p-1", "0x1.276e1c24e94ebp-9"),
 }
+PIN_LAWS = {**grid_laws(), "uniform_support(12)": DiscreteLattice.uniform_support(12)}
 
 
-@pytest.mark.parametrize("label", sorted(MC_BIT_PIN))
-def test_mc_entropy_bits_are_pinned(label):
-    m = MixtureDensity(GaussianDensity(0.25), grid_laws()[label])
+# the pins at sigma 0.25 keep the plain law label as their test id
+@pytest.mark.parametrize(
+    "label, sigma",
+    sorted(MC_BIT_PIN),
+    ids=[label if s == 0.25 else f"{label}-{s}" for label, s in sorted(MC_BIT_PIN)],
+)
+def test_mc_entropy_bits_are_pinned(label, sigma):
+    m = MixtureDensity(GaussianDensity(sigma), PIN_LAWS[label])
     v = mc_entropy(m, McConfig(10**5, MC_SEED))
-    assert (v.nats.hex(), v.abs_error.hex()) == MC_BIT_PIN[label]
+    assert (v.nats.hex(), v.abs_error.hex()) == MC_BIT_PIN[label, sigma]
 
 
 @st.composite

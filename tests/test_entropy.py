@@ -15,6 +15,7 @@ from mixent.bounds import (
     lemma1_upper_bound,
     theorem1_upper_bound,
 )
+from mixent.checks import grid_laws
 from mixent.distributions import (
     DiscreteLattice,
     GaussianDensity,
@@ -552,3 +553,91 @@ def test_own_atom_scores_match_log_density(case):
     entropy_mod._own_atom_scores(base, got, lps[a], shifts, lps[near][:, None], rho)
     want = MixtureDensity(base, z).log_density(x, z.support[a])
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def _reference_estimate(m, counts, noise, scale):
+    """``_mc_estimate`` with no shortcut: each atom's scaled noises go
+    through ``log_pdf``, ``log_ratio`` and the general max-shifted
+    log-sum-exp with the own atom as its ``initial`` term, and the scores
+    are reduced a chunk at a time and merged as the estimator does."""
+    support = np.asarray(m.lattice.support, dtype=float)
+    lps = np.asarray(m.lattice.log_probs)
+    scores = np.multiply(noise, scale)
+    ends = np.cumsum(counts)
+    for a, (start, end) in enumerate(zip(ends - counts, ends)):
+        x = scores[start:end]
+        near = np.arange(len(lps)) != a
+        rho = np.empty((len(lps) - 1, x.size))
+        m.base.log_ratio(x, (support[a] - support[near])[:, None], lps[near][:, None], rho)
+        top = rho.max(axis=0, initial=lps[a])
+        with np.errstate(invalid="ignore"):
+            total = np.exp(np.fmax(rho - top, -700.0)).sum(axis=0)
+        total += np.exp(lps[a] - top)
+        x[:] = m.base.log_pdf(x) + (top + np.log(total))
+    n = noise.size
+    mean = m2 = -0.0
+    for c0 in range(0, n, MC_CHUNK_SAMPLES):
+        ld = scores[c0 : c0 + MC_CHUNK_SAMPLES].copy()
+        k, c1 = ld.size, c0 + ld.size
+        chunk_mean = np.add.reduce(ld) / k
+        ld -= chunk_mean
+        ld *= ld
+        d = chunk_mean - mean
+        mean += d * (k / c1)
+        m2 += np.add.reduce(ld) + d * d * (c0 * k / c1)
+    return -float(mean), float(np.sqrt(m2 / (n - 1)) / math.sqrt(n))
+
+
+@st.composite
+def _skip_case(draw):
+    """A law of up to 8 atoms with gaps of at most 3, maybe with one more
+    atom 10^3 past them, and a base of scale sigma in [0.02, 0.3], where
+    adjacent atoms' terms go from within to below the rounding of ``ln
+    p_a``; a Gaussian's noise is either its own or standard normals that
+    the estimate scales, as validate's are."""
+    gaps = draw(st.lists(st.integers(1, 3), max_size=6))
+    support = np.cumsum([0] + gaps).tolist()
+    if draw(st.booleans()):
+        support.append(support[-1] + 1000)
+    weights = draw(st.lists(
+        st.floats(1e-6, 1.0), min_size=len(support), max_size=len(support)))
+    z = DiscreteLattice(tuple(support), tuple(np.divide(weights, math.fsum(weights))))
+    sigma = draw(st.floats(0.02, 0.3))
+    gaussian = draw(st.booleans())
+    m = MixtureDensity(GaussianDensity(sigma) if gaussian else UniformDensity(sigma), z)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    counts, noise = m.sample(rng, MC_CHUNK_SAMPLES + 5000)
+    scale = 1.0
+    if gaussian and draw(st.booleans()):
+        noise, scale = rng.standard_normal(noise.size), sigma
+    return m, counts, noise, scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(_skip_case())
+def test_mc_estimate_has_the_bits_of_scoring_every_sample(case):
+    m, counts, noise, scale = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = entropy_mod._mc_estimate(m, counts, noise, scale)
+    want = _reference_estimate(m, counts, noise, scale)
+    assert (got.nats.hex(), got.abs_error.hex()) == tuple(v.hex() for v in want)
+
+
+@pytest.mark.parametrize("sigma, skipped", [(0.05, True), (0.25, False)])
+def test_far_neighbours_are_skipped_a_whole_chunk_at_a_time(monkeypatch, sigma, skipped):
+    # at sigma 0.05 every atom of the grid laws is scored without its
+    # neighbour rows (they are evaluated only at x = 0 and at a chunk's two
+    # extreme noises); at 0.25 none is, and no extremes are taken
+    sizes = []
+    real = GaussianDensity.log_ratio
+
+    def recording(self, x, d, lw, out):
+        sizes.append(np.size(x))
+        return real(self, x, d, lw, out)
+
+    monkeypatch.setattr(GaussianDensity, "log_ratio", recording)
+    for z in grid_laws().values():
+        mc_entropy(MixtureDensity(GaussianDensity(sigma), z), McConfig(10**4, 1))
+    assert (max(sizes) <= 2) == skipped
+    assert (2 in sizes) == skipped
