@@ -329,23 +329,18 @@ def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
     The three fair-Bernoulli bound checks judge one set of sandwich
     reports, one row per sigma.  The identity and Monte Carlo checks judge
     one entropy report per (law, sigma) of the grid.  Every Monte Carlo
-    input comes from one generator seeded ``MC_SEED``, drawn here before
-    any report: first the ``mc_samples`` standard normals, so a bad or
-    unallocatable count stops the run before any quadrature, then each
-    pair's atom counts, by one multinomial each, in grid order.  Each
-    estimate scales the shared normals by its own sigma (common random
-    numbers across the grid) and holds one chunk-sized buffer besides them.
+    input comes from one generator seeded ``MC_SEED``, drawn first: the
+    ``mc_samples`` standard normals, so a bad or unallocatable count stops
+    the run before any work, then each pair's atom counts, by one
+    multinomial each, in grid order.  Each estimate scales the shared
+    normals by its own sigma and holds one chunk-sized buffer besides them.
 
-    Then everything but the two cheapest checks runs on a thread pool of
-    one worker per usable CPU (numpy releases the GIL in the kernel).  The
-    grid's entropy reports and their estimates are submitted first,
-    heaviest first by atom count, then the sandwich reports and the
-    lattice-sum, Landauer and equality checks, which fill the pool's tail.
-    Results are collected in the fixed order.  The workers draw nothing,
-    so the results are the same bits at any worker count.  If a job
-    raises, or on Ctrl-C, the jobs not yet started are cancelled; the grid
-    is waited on in submission order, so its first job's error comes back
-    at once.
+    Only the 20 estimates run on a thread pool of one worker per usable
+    CPU, heaviest first by atom count (numpy releases the GIL in their
+    kernel).  They draw nothing, so their bits do not depend on the worker
+    count.  If one raises, or on Ctrl-C, those not yet started are
+    cancelled.  The quadratures hold the GIL, so the reports and the checks
+    then run once each, in print order, on this thread.
     """
     # imported here: at module level it would slow ``import mixent.cli``
     from concurrent.futures import ThreadPoolExecutor
@@ -356,42 +351,32 @@ def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
     rng = np.random.default_rng(MC_SEED)
     noise = rng.standard_normal(mc_samples)
     counts = [rng.multinomial(mc_samples, laws[label].probs) for label, _ in pairs]
-    fair = DiscreteLattice.bernoulli(0.5)
-
-    def row(pair: tuple[str, float], counts: np.ndarray) -> tuple[str, float, dict]:
-        label, s = pair
-        z, g = laws[label], GaussianDensity(s)
-        report = entropy_report(z, g)
-        report["h_mc"] = _mc_estimate(MixtureDensity(g, z), counts, noise, g.sigma)
-        return label, s, report
-
-    order = sorted(range(len(pairs)), key=lambda i: -len(laws[pairs[i][0]].support))
+    mixtures = [MixtureDensity(GaussianDensity(s), laws[label]) for label, s in pairs]
+    order = sorted(range(len(pairs)), key=lambda i: -len(mixtures[i].lattice.support))
     pool = ThreadPoolExecutor(_worker_count(len(pairs)))
     try:
-        grid = {i: pool.submit(row, pairs[i], counts[i]) for i in order}
-        sandwiches = [
-            pool.submit(sandwich_report, fair, s)
-            for s in SHARPNESS_GRID + BIG_SIGMA_GRID
-        ]
-        side = [
-            pool.submit(check)
-            for check in (check_lattice_sum_bound, check_landauer, check_equality_cases)
-        ]
-        done = {i: job.result() for i, job in grid.items()}
-        rows = [done[i] for i in range(len(pairs))]
-        reports = [job.result() for job in sandwiches]
-        lattice, landauer, equality = (job.result() for job in side)
+        estimates = pool.map(
+            lambda i: _mc_estimate(mixtures[i], counts[i], noise, pairs[i][1]), order
+        )
+        h_mc = dict(zip(order, estimates))
     finally:
         pool.shutdown(cancel_futures=True)
+    del noise  # the quadratures below may reuse its memory
+    rows = [
+        (label, s, entropy_report(m.lattice, m.base) | {"h_mc": h_mc[i]})
+        for i, ((label, s), m) in enumerate(zip(pairs, mixtures))
+    ]
+    fair = DiscreteLattice.bernoulli(0.5)
+    reports = [sandwich_report(fair, s) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
     return [
         check_identity(rows),
         check_sharpness_sandwich(reports),
         check_bound_chain(reports),
-        lattice,
+        check_lattice_sum_bound(),
         check_big_sigma_lower(reports),
         check_rate_match(),
-        landauer,
-        equality,
+        check_landauer(),
+        check_equality_cases(),
         check_mc_agreement(rows, mc_samples),
         check_tail_inequality(),
     ]

@@ -1,10 +1,10 @@
 """The validate checks report a broken inequality as a failure, quoting it,
 the fair-Bernoulli bound checks share one deficit per sigma, and the
 identity and Monte Carlo checks share one mixture entropy per law and sigma.
-The entropy reports, heaviest first, and then the sandwich reports and
-three more checks run on a pool of one worker per usable CPU; the reports
-share one noise draw, the worker count changes no bit, and a failing
-report stops the pool early."""
+Only the 20 Monte Carlo estimates run on a pool of one worker per usable
+CPU, heaviest first; the reports and checks run on the calling thread.  The
+estimates share one noise draw, the worker count changes no bit, and a
+failing estimate stops the pool early."""
 
 import dataclasses
 import math
@@ -22,8 +22,8 @@ from mixent.distributions import DiscreteLattice, GaussianDensity
 from mixent.entropy import EntropyMethod, EntropyValue
 
 FAIR = DiscreteLattice.bernoulli(0.5)
-# the (law, base) of each entropy report the pool builds; the equality check
-# builds two more, outside it
+# the (law, base) of each grid entropy report and Monte Carlo estimate; the
+# equality check builds two more reports
 GRID = {(z, GaussianDensity(s)) for z in checks.grid_laws().values()
         for s in checks.IDENTITY_SIGMA_GRID}
 
@@ -242,50 +242,77 @@ def test_one_worker_per_usable_cpu_at_most_one_per_pair(monkeypatch):
 
 def _run_on(cpus, n):
     """``run_all_checks`` at N=``n`` on ``cpus`` CPUs (None: this host's);
-    also every entropy report of ``GRID`` it built, by (law, base), its
-    ``h_mc`` added by the worker that built it, and the threads that built
-    them."""
-    reports, threads = {}, set()
-    real = checks.entropy_report
+    also each of the 20 Monte Carlo estimates it made, by (law, base), and
+    the threads that made them."""
+    estimates, threads = {}, set()
+    real = checks._mc_estimate
 
-    def recording(z, base):
-        report = real(z, base)
-        if (z, base) in GRID:
-            threads.add(threading.get_ident())
-            reports[z, base] = report
-        return report
+    def recording(m, counts, noise, scale):
+        threads.add(threading.get_ident())
+        estimates[m.lattice, m.base] = real(m, counts, noise, scale)
+        return estimates[m.lattice, m.base]
 
     with pytest.MonkeyPatch.context() as mp:
         if cpus is not None:
             _pin_cpus(mp, cpus)
-        mp.setattr(checks, "entropy_report", recording)
+        mp.setattr(checks, "_mc_estimate", recording)
         results = checks.run_all_checks(mc_samples=n)
-    return results, reports, threads
+    return results, estimates, threads
 
 
-def _bits(report):
-    return {name: (v.nats.hex(), v.abs_error.hex(), v.method, v.converged)
-            for name, v in report.items()}
+def _bits(v):
+    return v.nats.hex(), v.abs_error.hex(), v.method, v.converged
 
 
 def test_worker_count_changes_no_bit():
     # two chunks per estimate, so the chunk merge runs too
     n = entropy.MC_CHUNK_SAMPLES + 5000
-    serial, serial_reports, serial_threads = _run_on(1, n)
+    serial, serial_estimates, serial_threads = _run_on(1, n)
     assert len(serial_threads) == 1
-    assert len(serial_reports) == 20
-    assert all("h_mc" in report for report in serial_reports.values())
-    for cpus in (None, 4):
-        results, reports, threads = _run_on(cpus, n)
+    assert serial_estimates.keys() == GRID
+    for cpus in (4, None):
+        results, estimates, threads = _run_on(cpus, n)
         assert results == serial
         if cpus is not None:
             assert len(threads) <= cpus
-        assert reports.keys() == serial_reports.keys()
-        for pair, report in reports.items():
-            assert _bits(report) == _bits(serial_reports[pair])
+        assert estimates.keys() == GRID
+        for pair, v in estimates.items():
+            assert _bits(v) == _bits(serial_estimates[pair])
 
 
-def test_a_failing_report_cancels_the_queued_ones(monkeypatch):
+def test_only_the_estimates_leave_the_calling_thread(monkeypatch):
+    # the quadratures hold the GIL, so the reports and the lattice sums run
+    # on the thread that called run_all_checks, even with 4 workers
+    threads = {name: [] for name in
+               ("entropy_report", "sandwich_report", "reset_report", "lattice_sum")}
+    for name, seen in threads.items():
+        def recording(*args, _real=getattr(checks, name), _seen=seen):
+            _seen.append(threading.get_ident())
+            return _real(*args)
+
+        monkeypatch.setattr(checks, name, recording)
+    estimated = []
+    real_estimate = checks._mc_estimate
+
+    def estimating(*args):
+        estimated.append(threading.get_ident())
+        return real_estimate(*args)
+
+    monkeypatch.setattr(checks, "_mc_estimate", estimating)
+    _pin_cpus(monkeypatch, 4)
+    assert all(r.passed for r in checks.run_all_checks(mc_samples=2000))
+    me = threading.get_ident()
+    # 20 grid reports and 2 equality cases; 11 sandwiches; 3 Landauer
+    # resets; 10 sigmas and 2 invariance calls
+    assert {name: len(seen) for name, seen in threads.items()} == {
+        "entropy_report": 22, "sandwich_report": 11,
+        "reset_report": 3, "lattice_sum": 12,
+    }
+    assert all(set(seen) == {me} for seen in threads.values())
+    assert len(estimated) == 20 and me not in estimated
+
+
+def test_a_failing_estimate_cancels_the_queued_ones(monkeypatch):
     # the first pair submitted, the most atoms' at the smallest sigma,
     # fails at once while the others take 20 ms each: the pool must not
     # start all 20 before the error comes back
@@ -294,15 +321,15 @@ def test_a_failing_report_cancels_the_queued_ones(monkeypatch):
     heaviest = max(laws.values(), key=lambda z: len(z.support))
     first = (heaviest, GaussianDensity(checks.IDENTITY_SIGMA_GRID[0]))
 
-    def failing(z, base):
-        calls.append((z, base))
-        if (z, base) == first:
+    def failing(m, counts, noise, scale):
+        calls.append((m.lattice, m.base))
+        if (m.lattice, m.base) == first:
             raise RuntimeError("pair 0 broke")
         time.sleep(0.02)
-        return {}
+        return EntropyValue(0.0, EntropyMethod.MONTE_CARLO, 0.0)
 
     _pin_cpus(monkeypatch, 2)
-    monkeypatch.setattr(checks, "entropy_report", failing)
+    monkeypatch.setattr(checks, "_mc_estimate", failing)
     with pytest.raises(RuntimeError, match="pair 0 broke"):
         checks.run_all_checks(mc_samples=2)
     assert len(calls) < 6, calls
