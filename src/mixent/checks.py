@@ -10,7 +10,6 @@ silently trusted.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,14 +21,8 @@ from .bounds import (
     sandwich_report,
     theorem1_upper_bound,
 )
-from .distributions import (
-    DiscreteLattice,
-    GaussianDensity,
-    MixtureDensity,
-    UniformDensity,
-    tail_mass,
-)
-from .entropy import McConfig, _mc_estimate, entropy_report
+from .distributions import DiscreteLattice, GaussianDensity, UniformDensity, tail_mass
+from .entropy import EntropyMethod, EntropyValue, entropy_report
 from .landauer import BitMemoryModel, reset_report
 from .numerics import _LN2, gaussian_tail_lower, lattice_sum
 
@@ -40,11 +33,35 @@ THM1_ENVELOPE_AT_01 = 1.7840634176811572e-05  # exp(-12.5) * 12 / sqrt(2 pi)
 DELTA_INTERVAL_AT_025 = (0.0140330, 0.4858927)  # closed-form envelope, rounded
 
 LEMMA2_SEED = 1894772156
-MC_SEED = 20260809
 
 SHARPNESS_GRID = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
 BIG_SIGMA_GRID = (0.5, 1.0, 2.0, 4.0)
 IDENTITY_SIGMA_GRID = (0.05, 0.1, 0.25, 0.45, 1.0)
+
+# The deficit of every two-atom (law, sigma) the checks evaluate: the
+# Bernoulli rows of the identity grid and the fair rows of the sandwich
+# grids.  Each is a 30-digit quadrature of the deficit's Fourier form
+# (``pair_deficit_mp`` in the tests), rounded to the nearest double.
+REFERENCE_DEFICITS = {
+    ("bernoulli(1/2)", 0.05): 2.365713967298688e-23,
+    ("bernoulli(1/2)", 0.1): 8.631659608453282e-07,
+    ("bernoulli(1/2)", 0.15): 0.0012410567455957866,
+    ("bernoulli(1/2)", 0.2): 0.01720460317896545,
+    ("bernoulli(1/2)", 0.25): 0.06042698682307833,
+    ("bernoulli(1/2)", 0.3): 0.1219957441857907,
+    ("bernoulli(1/2)", 0.35): 0.1884211291010397,
+    ("bernoulli(1/2)", 0.4): 0.25145270837880423,
+    ("bernoulli(1/2)", 0.45): 0.3076679522545335,
+    ("bernoulli(1/2)", 0.5): 0.3563163602131137,
+    ("bernoulli(1/2)", 1.0): 0.5817256983752092,
+    ("bernoulli(1/2)", 2.0): 0.6628358800391063,
+    ("bernoulli(1/2)", 4.0): 0.685395091964733,
+    ("bernoulli(0.3)", 0.05): 2.16634896107334e-23,
+    ("bernoulli(0.3)", 0.1): 7.886694842676255e-07,
+    ("bernoulli(0.3)", 0.25): 0.054714618042529174,
+    ("bernoulli(0.3)", 0.45): 0.2759348312807022,
+    ("bernoulli(0.3)", 1.0): 0.5159538281680961,
+}
 
 
 def grid_laws() -> dict[str, DiscreteLattice]:
@@ -279,22 +296,39 @@ def check_equality_cases() -> CheckResult:
     return _result("equality_cases", failures, "both equality cases exact")
 
 
-def check_mc_agreement(
-    rows: Sequence[tuple[str, float, dict]], samples: int
+def check_reference_deficits(
+    rows: Sequence[tuple[str, float, dict]], reports: Sequence[BoundReport]
 ) -> CheckResult:
-    """Seeded Monte Carlo entropy within 4 standard errors of quadrature, on
-    the ``(law label, sigma, entropy_report)`` rows of ``check_identity``."""
+    """Each two-atom deficit within its reported error of its frozen
+    30-digit value in ``REFERENCE_DEFICITS``: the direct deficits of the
+    ``check_identity`` rows and the fair Bernoulli sandwich reports."""
+    judged = [(label, s, q["delta_direct"]) for label, s, q in rows]
+    judged += [
+        ("bernoulli(1/2)", r.sigma,
+         EntropyValue(r.delta, EntropyMethod.QUADRATURE, r.delta_err, r.converged))
+        for r in reports
+    ]
+    judged = [row for row in judged if row[:2] in REFERENCE_DEFICITS]
     failures = []
-    for label, sigma, q in rows:
-        hq, hmc = q["h_mixture"], q["h_mc"]
-        gap = abs(hmc.nats - hq.nats)
-        if not gap <= 4.0 * hmc.abs_error:
+    worst = 0.0
+    for label, sigma, v in judged:
+        ref = REFERENCE_DEFICITS[label, sigma]
+        if not v.converged:
             failures.append(
-                f"{label}, sigma={sigma}: |mc - quadrature| = {gap:.3e} "
-                f"> 4 SE = {4.0 * hmc.abs_error:.3e}"
+                f"NonConvergence: quadrature did not converge for {label}, sigma={sigma}"
+            )
+            continue
+        gap = abs(v.nats - ref)
+        worst = max(worst, gap / ref)
+        if not gap <= v.abs_error:
+            failures.append(
+                f"{label}, sigma={sigma}: |delta - reference| = {gap:.3e} "
+                f"> error {v.abs_error:.3e}"
             )
     return _result(
-        "mc_agreement", failures, f"all combinations within 4 SE at N={samples}"
+        "reference_deficits",
+        failures,
+        f"{len(judged)} rows within their errors, worst relative gap {worst:.3e}",
     )
 
 
@@ -314,57 +348,19 @@ def check_tail_inequality() -> CheckResult:
     )
 
 
-def _worker_count(jobs: int) -> int:
-    """One worker per CPU this process may run on, at most ``jobs``."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, jobs)
-
-
-def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
+def run_all_checks() -> list[CheckResult]:
     """Run every named check; order is fixed and deterministic.
 
     The three fair-Bernoulli bound checks judge one set of sandwich
-    reports, one row per sigma.  The identity and Monte Carlo checks judge
-    one entropy report per (law, sigma) of the grid.  Every Monte Carlo
-    input comes from one generator seeded ``MC_SEED``, drawn first: the
-    ``mc_samples`` standard normals, so a bad or unallocatable count stops
-    the run before any work, then each pair's atom counts, by one
-    multinomial each, in grid order.  Each estimate scales the shared
-    normals by its own sigma and holds one chunk-sized buffer besides them.
-
-    Only the 20 estimates run on a thread pool of one worker per usable
-    CPU, heaviest first by atom count (numpy releases the GIL in their
-    kernel).  They draw nothing, so their bits do not depend on the worker
-    count.  If one raises, or on Ctrl-C, those not yet started are
-    cancelled.  The quadratures hold the GIL, so the reports and the checks
-    then run once each, in print order, on this thread.
+    reports, one row per sigma.  The identity check judges one entropy
+    report per (law, sigma) of the grid, and the reference check the
+    two-atom deficits of both.  Every report and check runs once, in print
+    order.
     """
-    # imported here: at module level it would slow ``import mixent.cli``
-    from concurrent.futures import ThreadPoolExecutor
-
-    laws = grid_laws()
-    pairs = [(label, s) for label in laws for s in IDENTITY_SIGMA_GRID]
-    McConfig(mc_samples, MC_SEED)  # rejects a count below 2
-    rng = np.random.default_rng(MC_SEED)
-    noise = rng.standard_normal(mc_samples)
-    counts = [rng.multinomial(mc_samples, laws[label].probs) for label, _ in pairs]
-    mixtures = [MixtureDensity(GaussianDensity(s), laws[label]) for label, s in pairs]
-    order = sorted(range(len(pairs)), key=lambda i: -len(mixtures[i].lattice.support))
-    pool = ThreadPoolExecutor(_worker_count(len(pairs)))
-    try:
-        estimates = pool.map(
-            lambda i: _mc_estimate(mixtures[i], counts[i], noise, pairs[i][1]), order
-        )
-        h_mc = dict(zip(order, estimates))
-    finally:
-        pool.shutdown(cancel_futures=True)
-    del noise  # the quadratures below may reuse its memory
     rows = [
-        (label, s, entropy_report(m.lattice, m.base) | {"h_mc": h_mc[i]})
-        for i, ((label, s), m) in enumerate(zip(pairs, mixtures))
+        (label, s, entropy_report(z, GaussianDensity(s)))
+        for label, z in grid_laws().items()
+        for s in IDENTITY_SIGMA_GRID
     ]
     fair = DiscreteLattice.bernoulli(0.5)
     reports = [sandwich_report(fair, s) for s in SHARPNESS_GRID + BIG_SIGMA_GRID]
@@ -377,6 +373,6 @@ def run_all_checks(mc_samples: int = 10**6) -> list[CheckResult]:
         check_rate_match(),
         check_landauer(),
         check_equality_cases(),
-        check_mc_agreement(rows, mc_samples),
+        check_reference_deficits(rows, reports),
         check_tail_inequality(),
     ]

@@ -158,7 +158,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    results = run_all_checks(mc_samples=args.mc_samples)
+    results = run_all_checks()
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -255,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser(
         "validate", parents=[common],
         help="run the full self-validation suite (exit 0 iff all pass)",
-    )
-    p_validate.add_argument(
-        "--mc-samples", type=int, default=10**6, metavar="N",
-        help="Monte Carlo sample count of the MC agreement check (default 10^6)",
     )
     p_validate.set_defaults(func=cmd_validate)
 

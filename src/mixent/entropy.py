@@ -64,9 +64,11 @@ class EntropyValue:
 
 # Monte Carlo scores each atom's samples in blocks of at most this many
 # (fewer where K - 1 neighbour rows of them would pass MC_CHUNK_SAMPLES
-# doubles).  On a 2-vCPU x86 host, validate's checks on two workers took
-# 0.514, 0.443 and 0.423 s at 2**14, 2**15 and 2**16 (median of 6), and
-# 2**16 raised the process's peak RSS from ~56.3 to ~59 MB.
+# doubles).  On a 2-vCPU x86 host, mc_entropy at N = 10**6 on the 20 (law,
+# sigma) pairs of the checks' identity grid, one after another, took
+# 0.59-0.60, 0.59-0.60 and 0.62 s at 2**14, 2**15 and 2**16 (median of 7,
+# in two processes each), with peak RSS of 46.1, 48.0 and 49.5 MB; the
+# block size moves no bit.
 MC_BLOCK_SAMPLES = 2**15
 # ... and reduces its log-densities in chunks of this many samples, 2 MiB.
 MC_CHUNK_SAMPLES = 2**18
@@ -267,10 +269,9 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
     return _mc_estimate(m, counts, noise)
 
 
-def _mc_estimate(m, counts, noise, scale=1.0) -> EntropyValue:
-    """The Monte Carlo estimate of ``h(m)`` from the atom counts of
-    ``m.sample`` and the noise ``noise * scale`` (its noise at the default
-    ``scale``, which multiplies exactly); ``noise`` is only read.
+def _mc_estimate(m, counts, noise) -> EntropyValue:
+    """The Monte Carlo estimate of ``h(m)`` from the atom counts and the
+    noise of ``m.sample``; ``noise`` is only read.
 
     A sample of atom ``a`` with noise ``x`` is scored against its own
     atom, in exact coordinates: ``ln f(x) + ln(p_a + sum_{k != a} p_k
@@ -278,11 +279,11 @@ def _mc_estimate(m, counts, noise, scale=1.0) -> EntropyValue:
     ``_own_atom_scores``).  ``m.log_density(x, a)`` is the same value by K
     log-pdf evaluations; this is one multiply-add per (neighbour, sample).
     The sample is walked in chunks of ``MC_CHUNK_SAMPLES``, each chunk's
-    scaled noise written into one chunk-sized buffer.  Each atom's run
+    noise copied into one chunk-sized buffer.  Each atom's run
     within a chunk is scored in blocks of at most ``MC_BLOCK_SAMPLES``
     samples, with one preallocated buffer of K - 1 rows (fewer samples
     where that buffer would pass ``MC_CHUNK_SAMPLES`` doubles), and its
-    scores overwrite the scaled noise they came from.  On a Gaussian base
+    scores overwrite the noise they came from.  On a Gaussian base
     an atom whose neighbour rows are all below ``ln p_a - 40 - ln(K - 1)``
     at the chunk's extreme noises gets ``ln f(x) + ln p_a`` for every
     score in the chunk, with no rows: the score the rows would give, to
@@ -328,7 +329,8 @@ def _mc_estimate(m, counts, noise, scale=1.0) -> EntropyValue:
     mean = m2 = -0.0
     for c0 in range(0, n, MC_CHUNK_SAMPLES):
         c1 = min(c0 + MC_CHUNK_SAMPLES, n)
-        ld = np.multiply(noise[c0:c1], scale, out=buf[: c1 - c0])
+        ld = buf[: c1 - c0]
+        ld[:] = noise[c0:c1]
         if any(far):
             extremes = np.array([ld.min(), ld.max()])
         for a, (start, end) in enumerate(runs):

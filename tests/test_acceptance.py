@@ -35,9 +35,10 @@ CRITERIA = [
     ("c08_equality_cases", "equality_cases",
      "point-mass Z gives zero deficit within 1e-12; fair Bernoulli +"
      " uniform(1/4) gives h(X+Z)=0 and zero deficit within 1e-12"),
-    ("c09_mc_agreement", "mc_agreement",
-     "seeded Monte Carlo entropy (N=1e6) within 4 standard errors of"
-     " quadrature on the full grid"),
+    ("c09_reference_deficits", "reference_deficits",
+     "every two-atom deficit (Bernoulli(1/2) and Bernoulli(0.3) on the grid,"
+     " fair Bernoulli on the sandwich sigmas) within its reported error of its"
+     " frozen 30-digit value"),
     ("c10_tail_inequality", "tail_inequality",
      "phi(z)(1/z - 1/z^3) <= Q(z) with non-negative margin on 200 grid"
      " points z in [1.01, 10]"),
@@ -46,7 +47,7 @@ CRITERIA = [
 
 @pytest.fixture(scope="session")
 def suite() -> dict[str, CheckResult]:
-    results = run_all_checks(mc_samples=10**6)
+    results = run_all_checks()
     return {r.name: r for r in results}
 
 

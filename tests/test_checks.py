@@ -1,16 +1,10 @@
 """The validate checks report a broken inequality as a failure, quoting it,
 the fair-Bernoulli bound checks share one deficit per sigma, and the
-identity and Monte Carlo checks share one mixture entropy per law and sigma.
-Only the 20 Monte Carlo estimates run on a pool of one worker per usable
-CPU, heaviest first; the reports and checks run on the calling thread.  The
-estimates share one noise draw, the worker count changes no bit, and a
-failing estimate stops the pool early."""
+identity and reference checks share one entropy report per law and sigma.
+Every report and check runs once, on the calling thread."""
 
 import dataclasses
 import math
-import threading
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +16,8 @@ from mixent.distributions import DiscreteLattice, GaussianDensity
 from mixent.entropy import EntropyMethod, EntropyValue
 
 FAIR = DiscreteLattice.bernoulli(0.5)
-# the (law, base) of each grid entropy report and Monte Carlo estimate; the
-# equality check builds two more reports
+# the (law, base) of each grid entropy report; the equality check builds
+# two more reports
 GRID = {(z, GaussianDensity(s)) for z in checks.grid_laws().values()
         for s in checks.IDENTITY_SIGMA_GRID}
 
@@ -38,7 +32,7 @@ def _judge_reports(check):
 def _judge_entropy_rows(check):
     """Run ``check`` on fair Bernoulli entropy reports built now, after patching."""
     return lambda: check(
-        [("fair", s, entropy.entropy_report(FAIR, GaussianDensity(s)))
+        [("bernoulli(1/2)", s, entropy.entropy_report(FAIR, GaussianDensity(s)))
          for s in (0.1, 0.25)]
     )
 
@@ -63,10 +57,17 @@ def _judge_entropy_rows(check):
          "delta <= lemma1 violated"),
         # negative, below ln 2 * Q(1/(2 sigma))
         (bounds, _judge_reports(checks.check_big_sigma_lower), -1.0, ">= bound"),
+        # far from the frozen values, on the grid rows and on the sandwich rows
+        (entropy,
+         _judge_entropy_rows(lambda rows: checks.check_reference_deficits(rows, [])),
+         10.0, "bernoulli(1/2), sigma=0.1: |delta - reference| = "),
+        (bounds,
+         _judge_reports(lambda reports: checks.check_reference_deficits([], reports)),
+         math.nan, "bernoulli(1/2), sigma=0.15: |delta - reference| = "),
     ],
     ids=["identity", "identity_nan", "sharpness_sandwich",
          "sharpness_sandwich_lower", "bound_chain", "bound_chain_nan",
-         "big_sigma_lower"],
+         "big_sigma_lower", "reference_deficits", "reference_deficits_nan"],
 )
 def test_impossible_deficit_fails_the_check(monkeypatch, module, run, delta, quoted):
     impossible = EntropyValue(delta, EntropyMethod.QUADRATURE, 1e-12)
@@ -74,19 +75,6 @@ def test_impossible_deficit_fails_the_check(monkeypatch, module, run, delta, quo
     result = run()
     assert result.passed is False
     assert quoted in result.detail
-
-
-@pytest.mark.parametrize("nats, se", [(math.nan, 1e-3), (1.0, math.nan)],
-                         ids=["nan_estimate", "nan_standard_error"])
-def test_nan_monte_carlo_fails_the_check(nats, se):
-    rows = [("fair", s, entropy.entropy_report(FAIR, GaussianDensity(s)))
-            for s in (0.1, 0.25)]
-    rows[1][2]["h_mc"] = EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)
-    rows[0][2]["h_mc"] = rows[0][2]["h_mixture"]
-    result = checks.check_mc_agreement(rows, 100)
-    assert result.passed is False
-    assert result.detail.startswith("fair, sigma=0.25: |mc - quadrature| = ")
-    assert "> 4 SE" in result.detail
 
 
 def _replacing(real, **fields):
@@ -214,7 +202,7 @@ def test_fair_bernoulli_deficits_are_computed_once(monkeypatch):
             return real_mixture(m, *args)
 
         monkeypatch.setattr(module, "mixture_entropy", integrating, raising=False)
-    checks.run_all_checks(mc_samples=2)
+    checks.run_all_checks()
     assert sorted(sigmas[bounds]) == sorted(
         checks.SHARPNESS_GRID + checks.BIG_SIGMA_GRID
     )
@@ -224,188 +212,19 @@ def test_fair_bernoulli_deficits_are_computed_once(monkeypatch):
     assert len(mixtures) == len(set(mixtures))
 
 
-def _pin_cpus(mp, n):
-    """Make this process look like it may run on ``n`` CPUs."""
-    mp.setattr(checks.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    mp.setattr(checks.os, "cpu_count", lambda: n)
-
-
-def test_one_worker_per_usable_cpu_at_most_one_per_pair(monkeypatch):
-    for cpus, workers in ((1, 1), (2, 2), (64, 20)):
-        _pin_cpus(monkeypatch, cpus)
-        assert checks._worker_count(20) == workers
-    # no CPU set and an unknown CPU count: one worker
-    monkeypatch.delattr(checks.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(checks.os, "cpu_count", lambda: None)
-    assert checks._worker_count(20) == 1
-
-
-def _run_on(cpus, n):
-    """``run_all_checks`` at N=``n`` on ``cpus`` CPUs (None: this host's);
-    also each of the 20 Monte Carlo estimates it made, by (law, base), and
-    the threads that made them."""
-    estimates, threads = {}, set()
-    real = checks._mc_estimate
-
-    def recording(m, counts, noise, scale):
-        threads.add(threading.get_ident())
-        estimates[m.lattice, m.base] = real(m, counts, noise, scale)
-        return estimates[m.lattice, m.base]
-
-    with pytest.MonkeyPatch.context() as mp:
-        if cpus is not None:
-            _pin_cpus(mp, cpus)
-        mp.setattr(checks, "_mc_estimate", recording)
-        results = checks.run_all_checks(mc_samples=n)
-    return results, estimates, threads
-
-
-def _bits(v):
-    return v.nats.hex(), v.abs_error.hex(), v.method, v.converged
-
-
-def test_worker_count_changes_no_bit():
-    # two chunks per estimate, so the chunk merge runs too
-    n = entropy.MC_CHUNK_SAMPLES + 5000
-    serial, serial_estimates, serial_threads = _run_on(1, n)
-    assert len(serial_threads) == 1
-    assert serial_estimates.keys() == GRID
-    for cpus in (4, None):
-        results, estimates, threads = _run_on(cpus, n)
-        assert results == serial
-        if cpus is not None:
-            assert len(threads) <= cpus
-        assert estimates.keys() == GRID
-        for pair, v in estimates.items():
-            assert _bits(v) == _bits(serial_estimates[pair])
-
-
-def test_only_the_estimates_leave_the_calling_thread(monkeypatch):
-    # the quadratures hold the GIL, so the reports and the lattice sums run
-    # on the thread that called run_all_checks, even with 4 workers
-    threads = {name: [] for name in
-               ("entropy_report", "sandwich_report", "reset_report", "lattice_sum")}
-    for name, seen in threads.items():
-        def recording(*args, _real=getattr(checks, name), _seen=seen):
-            _seen.append(threading.get_ident())
+def test_run_all_checks_makes_each_report_once(monkeypatch):
+    calls = {name: 0 for name in
+             ("entropy_report", "sandwich_report", "reset_report", "lattice_sum")}
+    for name in calls:
+        def counting(*args, _real=getattr(checks, name), _name=name):
+            calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(checks, name, recording)
-    estimated = []
-    real_estimate = checks._mc_estimate
-
-    def estimating(*args):
-        estimated.append(threading.get_ident())
-        return real_estimate(*args)
-
-    monkeypatch.setattr(checks, "_mc_estimate", estimating)
-    _pin_cpus(monkeypatch, 4)
-    assert all(r.passed for r in checks.run_all_checks(mc_samples=2000))
-    me = threading.get_ident()
+        monkeypatch.setattr(checks, name, counting)
+    assert all(r.passed for r in checks.run_all_checks())
     # 20 grid reports and 2 equality cases; 11 sandwiches; 3 Landauer
     # resets; 10 sigmas and 2 invariance calls
-    assert {name: len(seen) for name, seen in threads.items()} == {
+    assert calls == {
         "entropy_report": 22, "sandwich_report": 11,
         "reset_report": 3, "lattice_sum": 12,
     }
-    assert all(set(seen) == {me} for seen in threads.values())
-    assert len(estimated) == 20 and me not in estimated
-
-
-def test_a_failing_estimate_cancels_the_queued_ones(monkeypatch):
-    # the first pair submitted, the most atoms' at the smallest sigma,
-    # fails at once while the others take 20 ms each: the pool must not
-    # start all 20 before the error comes back
-    calls = []
-    laws = checks.grid_laws()
-    heaviest = max(laws.values(), key=lambda z: len(z.support))
-    first = (heaviest, GaussianDensity(checks.IDENTITY_SIGMA_GRID[0]))
-
-    def failing(m, counts, noise, scale):
-        calls.append((m.lattice, m.base))
-        if (m.lattice, m.base) == first:
-            raise RuntimeError("pair 0 broke")
-        time.sleep(0.02)
-        return EntropyValue(0.0, EntropyMethod.MONTE_CARLO, 0.0)
-
-    _pin_cpus(monkeypatch, 2)
-    monkeypatch.setattr(checks, "_mc_estimate", failing)
-    with pytest.raises(RuntimeError, match="pair 0 broke"):
-        checks.run_all_checks(mc_samples=2)
-    assert len(calls) < 6, calls
-
-
-class _CountingRng:
-    """A ``np.random.Generator`` that records each ``standard_normal`` and
-    ``multinomial`` draw in ``events``."""
-
-    def __init__(self, rng, events):
-        self._rng, self._events = rng, events
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-    def standard_normal(self, size):
-        self._events.append(("standard_normal", size))
-        return self._rng.standard_normal(size)
-
-    def multinomial(self, n, pvals):
-        self._events.append(("multinomial", n, tuple(pvals)))
-        return self._rng.multinomial(n, pvals)
-
-
-def test_the_grid_draws_its_normals_once(monkeypatch):
-    events = []
-    real_rng, real_report = np.random.default_rng, checks.entropy_report
-
-    def counting(seed):
-        events.append(("default_rng", seed))
-        return _CountingRng(real_rng(seed), events)
-
-    def reporting(z, base):
-        if (z, base) in GRID:
-            events.append(("entropy_report",))
-        return real_report(z, base)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    monkeypatch.setattr(checks, "entropy_report", reporting)
-    results = checks.run_all_checks(mc_samples=5000)
-    assert all(r.passed for r in results)
-    assert [e for e in events if e[0] == "standard_normal"] == [("standard_normal", 5000)]
-    # one generator, seeded MC_SEED, draws the normals and then every
-    # pair's counts in grid order, all before the first report
-    assert events.count(("default_rng", checks.MC_SEED)) == 1
-    laws = checks.grid_laws()
-    counts = [("multinomial", 5000, laws[label].probs)
-              for label in laws for _ in checks.IDENTITY_SIGMA_GRID]
-    first = events.index(("entropy_report",))
-    assert events[:first] == [
-        ("default_rng", checks.MC_SEED), ("standard_normal", 5000), *counts
-    ]
-    assert [e for e in events if e[0] == "multinomial"] == counts
-    assert events.count(("entropy_report",)) == 20
-
-
-def test_the_grid_holds_one_draw_and_a_few_mib_per_worker(monkeypatch):
-    # 4 workers on one 8 MiB draw: each holds a 2 MiB chunk buffer and its
-    # kernel blocks, where an own noise array each would add 32 MiB
-    _pin_cpus(monkeypatch, 4)
-    n = 2**20
-    checks.run_all_checks(mc_samples=2)  # lazy imports
-    tracemalloc.start()
-    try:
-        checks.run_all_checks(mc_samples=n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n + 4 * 6 * 2**20
-
-
-def test_an_unallocatable_sample_count_fails_before_any_report(monkeypatch):
-    # 10**17 doubles are 711 PiB: the shared draw fails at once
-    calls = []
-    monkeypatch.setattr(bounds, "deficit_direct", lambda *args: calls.append(args))
-    monkeypatch.setattr(checks, "entropy_report", lambda *args: calls.append(args))
-    with pytest.raises(MemoryError):
-        checks.run_all_checks(mc_samples=10**17)
-    assert calls == []

@@ -250,7 +250,7 @@ class TestSweepCommand:
 
 class TestValidateCommand:
     def test_every_check_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "--mc-samples", "20000")
+        code, out, _ = run_cli(capsys, "validate")
         assert code == 0
         lines = out.strip().split("\n")
         named_checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
@@ -261,15 +261,13 @@ class TestValidateCommand:
     def test_impossible_tolerance_fails_with_nonconvergence(
         self, capsys, unreachable_tolerance
     ):
-        code, out, _ = run_cli(capsys, "validate", "--mc-samples", "2000")
+        code, out, _ = run_cli(capsys, "validate")
         assert code == 1
         assert "FAIL" in out
         assert "NonConvergence" in out
 
     def test_json_report(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "validate", "--mc-samples", "2000", "--format", "json",
-        )
+        code, out, _ = run_cli(capsys, "validate", "--format", "json")
         assert code == 0
         docs = json.loads(out)
         assert len(docs) == 10
@@ -277,21 +275,13 @@ class TestValidateCommand:
         assert all(doc["passed"] is True for doc in docs)
 
     def test_csv_failure_details_stay_in_one_cell(self, capsys, unreachable_tolerance):
-        code, out, _ = run_cli(
-            capsys, "validate", "--mc-samples", "2000", "--format", "csv",
-        )
+        code, out, _ = run_cli(capsys, "validate", "--format", "csv")
         assert code == 1
         rows = list(csv.reader(out.splitlines()))
         assert rows[0] == ["name", "passed", "detail"]
         assert len(rows) == 11
         assert all(len(row) == 3 for row in rows)
         assert any(row[1] == "false" and "NonConvergence" in row[2] for row in rows)
-
-    def test_zero_mc_samples_exit_2(self, capsys):
-        code, out, err = run_cli(capsys, "validate", "--mc-samples", "0")
-        assert code == 2
-        assert out == ""
-        assert "mc-samples" in err
 
 
 class TestLandauerCommand:
@@ -365,6 +355,7 @@ class TestLandauerCommand:
         ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5", "--mc-samples", "10"],
         ["validate", "--seed", "1"],
         ["validate", "--quick"],
+        ["validate", "--mc-samples", "2000"],
         ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON, "--quad-abs-tol", "1e-30"],
         ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON, "--seed", "4"],
         [*SWEEP_FAIR, "--spacing", "linear"],
@@ -373,8 +364,8 @@ class TestLandauerCommand:
     ],
     ids=[
         "landauer_seed", "landauer_mc_samples", "validate_seed", "validate_quick",
-        "entropy_quad_abs_tol", "entropy_seed", "sweep_spacing", "sweep_mc_samples",
-        "sweep_seed",
+        "validate_mc_samples", "entropy_quad_abs_tol", "entropy_seed", "sweep_spacing",
+        "sweep_mc_samples", "sweep_seed",
     ],
 )
 def test_flag_the_command_does_not_read_exits_2(argv, capsys):
@@ -396,12 +387,7 @@ def test_unread_or_negative_mc_flags_exit_2(capsys, command, mc_flags):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate"],
-        ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON],
-    ],
-    ids=["validate", "entropy"],
+    "argv", [["entropy", "--sigma", "0.25", "--dist", FAIR_JSON]], ids=["entropy"]
 )
 def test_one_mc_sample_exits_2_before_any_quadrature(capsys, integrate_calls, argv):
     code, out, err = run_cli(capsys, *argv, "--mc-samples", "1")
@@ -463,8 +449,8 @@ def _fresh_python(*args: str) -> bytes:
 
 
 def test_cli_import_loads_no_scipy_and_no_thread_pool():
-    # both load only where a command uses them, and most of a fresh
-    # process's start-up would otherwise be theirs
+    # scipy loads only in the tests and concurrent.futures nowhere; most of a
+    # fresh process's start-up would otherwise be theirs
     loaded = _fresh_python("-c", "import sys, mixent.cli; print(*sys.modules)")
     roots = {name.split(".")[0] for name in loaded.decode().split()}
     assert sorted(roots & {"scipy", "concurrent"}) == []
@@ -589,9 +575,8 @@ def test_non_finite_sigma_range_exits_2_with_one_line(capsys, start, end):
          "--steps", "100000000000000000", "--dist", FAIR_JSON],
         ["entropy", "--sigma", "0.25", "--dist", FAIR_JSON,
          "--mc-samples", "100000000000000000"],
-        ["validate", "--mc-samples", "100000000000000000"],
     ],
-    ids=["sweep_steps", "entropy_mc_samples", "validate_mc_samples"],
+    ids=["sweep_steps", "entropy_mc_samples"],
 )
 def test_count_too_large_to_allocate_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

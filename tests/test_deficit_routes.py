@@ -12,7 +12,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mixent.checks import grid_laws
+from mixent.checks import (
+    BIG_SIGMA_GRID,
+    IDENTITY_SIGMA_GRID,
+    REFERENCE_DEFICITS,
+    SHARPNESS_GRID,
+    grid_laws,
+)
 from mixent.distributions import (
     DiscreteLattice,
     GaussianDensity,
@@ -118,6 +124,17 @@ def test_two_atom_reference_matches_the_x_form():
     with mpmath.workdps(30):
         x_form = deficit_mp(FAIR, 0.05)
         assert abs(pair_deficit_mp(FAIR, 0.05) / x_form - 1) < mpmath.mpf("1e-25")
+
+
+def test_reference_deficits_are_the_nearest_doubles():
+    # one per two-atom (law, sigma) that validate evaluates, none more
+    laws = grid_laws()
+    two_atom = {(label, s) for label, z in laws.items() if len(z.support) == 2
+                for s in IDENTITY_SIGMA_GRID}
+    two_atom |= {("bernoulli(1/2)", s) for s in SHARPNESS_GRID + BIG_SIGMA_GRID}
+    assert set(REFERENCE_DEFICITS) == two_atom
+    for (label, sigma), ref in REFERENCE_DEFICITS.items():
+        assert ref == float(pair_deficit_mp(laws[label], sigma)), (label, sigma)
 
 
 @pytest.mark.parametrize("route", [deficit_direct, deficit_via_identity])

@@ -504,22 +504,6 @@ class TestMcEntropy:
         assert counts[1] == 0
         assert MC_CHUNK_SAMPLES < counts[0] < 2 * MC_CHUNK_SAMPLES
 
-    def test_scaled_noise_has_the_bits_of_the_noise_it_stands_for(self):
-        # validate's rows scale one shared draw by their own sigma, a chunk
-        # at a time, and leave the draw as it was
-        z = DiscreteLattice((-2, 0, 5), (0.6, 1e-12, 0.4 - 1e-12))
-        sigma, n = 0.8, 2 * MC_CHUNK_SAMPLES + 7
-        m = MixtureDensity(GaussianDensity(sigma), z)
-        rng = np.random.default_rng(12)
-        counts = rng.multinomial(n, z.probs)
-        shared = rng.standard_normal(n)
-        kept = shared.copy()
-        got = entropy_mod._mc_estimate(m, counts, shared, sigma)
-        want = entropy_mod._mc_estimate(m, counts, shared * sigma)
-        assert (got.nats.hex(), got.abs_error.hex()) == (
-            want.nats.hex(), want.abs_error.hex())
-        assert np.array_equal(shared, kept)
-
 
 @st.composite
 def _own_atom_case(draw):
@@ -555,14 +539,14 @@ def test_own_atom_scores_match_log_density(case):
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-def _reference_estimate(m, counts, noise, scale):
-    """``_mc_estimate`` with no shortcut: each atom's scaled noises go
+def _reference_estimate(m, counts, noise):
+    """``_mc_estimate`` with no shortcut: each atom's noises go
     through ``log_pdf``, ``log_ratio`` and the general max-shifted
     log-sum-exp with the own atom as its ``initial`` term, and the scores
     are reduced a chunk at a time and merged as the estimator does."""
     support = np.asarray(m.lattice.support, dtype=float)
     lps = np.asarray(m.lattice.log_probs)
-    scores = np.multiply(noise, scale)
+    scores = noise.copy()
     ends = np.cumsum(counts)
     for a, (start, end) in enumerate(zip(ends - counts, ends)):
         x = scores[start:end]
@@ -593,8 +577,7 @@ def _skip_case(draw):
     """A law of up to 8 atoms with gaps of at most 3, maybe with one more
     atom 10^3 past them, and a base of scale sigma in [0.02, 0.3], where
     adjacent atoms' terms go from within to below the rounding of ``ln
-    p_a``; a Gaussian's noise is either its own or standard normals that
-    the estimate scales, as validate's are."""
+    p_a``."""
     gaps = draw(st.lists(st.integers(1, 3), max_size=6))
     support = np.cumsum([0] + gaps).tolist()
     if draw(st.booleans()):
@@ -606,21 +589,17 @@ def _skip_case(draw):
     gaussian = draw(st.booleans())
     m = MixtureDensity(GaussianDensity(sigma) if gaussian else UniformDensity(sigma), z)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    counts, noise = m.sample(rng, MC_CHUNK_SAMPLES + 5000)
-    scale = 1.0
-    if gaussian and draw(st.booleans()):
-        noise, scale = rng.standard_normal(noise.size), sigma
-    return m, counts, noise, scale
+    return m, *m.sample(rng, MC_CHUNK_SAMPLES + 5000)
 
 
 @settings(max_examples=25, deadline=None)
 @given(_skip_case())
 def test_mc_estimate_has_the_bits_of_scoring_every_sample(case):
-    m, counts, noise, scale = case
+    m, counts, noise = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = entropy_mod._mc_estimate(m, counts, noise, scale)
-    want = _reference_estimate(m, counts, noise, scale)
+        got = entropy_mod._mc_estimate(m, counts, noise)
+    want = _reference_estimate(m, counts, noise)
     assert (got.nats.hex(), got.abs_error.hex()) == tuple(v.hex() for v in want)
 
 

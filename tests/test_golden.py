@@ -43,7 +43,7 @@ _COMMANDS = {
     ],
     "landauer": ["landauer", "--mu", "0.5", "--sigma", "0.1", "--p1", "0.5"],
     "landauer_bits": ["landauer", "--mu", "0.5", "--sigma", "1", "--p1", "0.3", "--bits"],
-    "validate": ["validate", "--mc-samples", "2000"],
+    "validate": ["validate"],
 }
 
 CASES = {
