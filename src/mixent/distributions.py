@@ -280,28 +280,7 @@ def _log_sum_exp(t: np.ndarray, initial: float = -np.inf) -> np.ndarray:
     to -700 first, because ``np.exp`` is many times slower where its
     result is subnormal, underflows or is taken at -inf.  A column with no
     mass shifts to ``-inf - -inf``, a NaN, which ``fmax`` raises to -700
-    too, so its sum is finite and ``-inf`` plus its log is ``-inf``.
-
-    One row and a finite ``initial`` (two atoms) take a shorter path with
-    the same bits.  After the shift the larger term is exactly 1 and the
-    smaller is ``exp(-|t - initial|)``, since ``fl(a - b) = -fl(b - a)``,
-    and addition commutes.  The general path raises the smaller to -700
-    when it is the row's and exponentiates it as is when it is
-    ``initial``'s; below ``e^-700`` both give a sum of exactly 1.  So the
-    result is ``max(t, initial) + ln(1 + exp(max(-|t - initial|, -700)))``:
-    one ``exp`` and no reduction over the atoms.  A row of ``-inf`` or
-    ``+inf`` gives ``initial`` or ``+inf`` on both paths."""
-    if -np.inf < initial < np.inf and len(t) == 1:
-        row = t[0, ...]  # a view, also of a single column
-        top = np.maximum(row, initial)
-        np.subtract(row, initial, out=row)
-        np.copysign(row, -1.0, out=row)  # -|t - initial|
-        np.fmax(row, -700.0, out=row)
-        np.exp(row, out=row)
-        row += 1.0
-        np.log(row, out=row)
-        top += row
-        return top
+    too, so its sum is finite and ``-inf`` plus its log is ``-inf``."""
     top = t.max(axis=0, initial=initial)
     with np.errstate(invalid="ignore"):
         t -= top

@@ -66,11 +66,11 @@ class EntropyValue:
 # (fewer where K - 1 neighbour rows of them would pass MC_CHUNK_SAMPLES
 # doubles).  On a 2-vCPU x86 host, mc_entropy at N = 10**6 on the 20 (law,
 # sigma) pairs of the checks' identity grid, one after another, took
-# 0.59-0.60, 0.59-0.60 and 0.62 s at 2**14, 2**15 and 2**16 (median of 7,
-# in two processes each), with peak RSS of 46.1, 48.0 and 49.5 MB; the
-# block size moves no bit.
-MC_BLOCK_SAMPLES = 2**15
-# ... and reduces its log-densities in chunks of this many samples, 2 MiB.
+# 0.88-1.01 and 0.97-1.03 s at 2**14 and 2**15 (median of 7, in five and
+# three processes), with peak RSS of 44.2-44.5 and 46.1-46.2 MB and
+# tracemalloc peaks of at most 8.9 and 10.1 MiB, and the same bits.
+MC_BLOCK_SAMPLES = 2**14
+# ... and reduces those scores, in place, in chunks of this many samples.
 MC_CHUNK_SAMPLES = 2**18
 # The folded integrands evaluate their (atom, node, cell) entries in slices
 # of at most this many.  On a 2-vCPU x86 host, both quadratures on 18 laws
@@ -215,10 +215,14 @@ def _deficit_quadrature(support, log_probs, base, cells=None) -> EntropyValue:
     weights are scaled by ``exp(d^2 / (8 sigma^2))``, ``d`` the smallest gap,
     which brings the integrand (linear in a common weight) to a peak of
     order 1; the result is scaled back.  Below the smallest normal double
-    the error also counts the roundings of the scale and the product."""
+    the error also counts the roundings of the scale and the product.  A
+    scale that overflows (a wide gap at tiny sigma) puts the deficit below
+    the smallest subnormal: it is 0 within one unit in the last place."""
     s = 0.0
     if isinstance(base, GaussianDensity) and len(support) > 1:
         s = float(np.diff(support).min()) ** 2 / (8.0 * base.sigma**2)
+    if s == math.inf:
+        return EntropyValue(0.0, EntropyMethod.QUADRATURE, math.ulp(0.0))
     lps = np.add(log_probs, s)
     v = _integrate_folded(_deficit_body, support, lps, base, cells)
     scale = math.exp(-s)
@@ -262,8 +266,8 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
 
     ``MixtureDensity.sample`` draws the atom counts by one multinomial and
     the noise apart from them; ``_mc_estimate`` scores each sample against
-    its own atom a chunk at a time, so the estimate holds the noise array
-    and one chunk-sized buffer for any number of atoms K, not O(K N).
+    its own atom in place in that noise, so the estimate holds the noise
+    array and one block buffer for any number of atoms K, not O(K N).
     """
     counts, noise = m.sample(np.random.default_rng(cfg.seed), cfg.samples)
     return _mc_estimate(m, counts, noise)
@@ -271,23 +275,18 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
 
 def _mc_estimate(m, counts, noise) -> EntropyValue:
     """The Monte Carlo estimate of ``h(m)`` from the atom counts and the
-    noise of ``m.sample``; ``noise`` is only read.
+    noise of ``m.sample``; ``noise`` is overwritten with the scores.
 
     A sample of atom ``a`` with noise ``x`` is scored against its own
     atom, in exact coordinates: ``ln f(x) + ln(p_a + sum_{k != a} p_k
     f(x + a - k) / f(x))``, each ratio from ``m.base.log_ratio`` (see
     ``_own_atom_scores``).  ``m.log_density(x, a)`` is the same value by K
     log-pdf evaluations; this is one multiply-add per (neighbour, sample).
-    The sample is walked in chunks of ``MC_CHUNK_SAMPLES``, each chunk's
-    noise copied into one chunk-sized buffer.  Each atom's run
-    within a chunk is scored in blocks of at most ``MC_BLOCK_SAMPLES``
+    The sample is walked in chunks of ``MC_CHUNK_SAMPLES``.  Each atom's
+    run within a chunk is scored in blocks of at most ``MC_BLOCK_SAMPLES``
     samples, with one preallocated buffer of K - 1 rows (fewer samples
     where that buffer would pass ``MC_CHUNK_SAMPLES`` doubles), and its
-    scores overwrite the noise they came from.  On a Gaussian base
-    an atom whose neighbour rows are all below ``ln p_a - 40 - ln(K - 1)``
-    at the chunk's extreme noises gets ``ln f(x) + ln p_a`` for every
-    score in the chunk, with no rows: the score the rows would give, to
-    the bit (see the comment at ``cut``).
+    scores overwrite the noise they came from.
     A chunk's mean and sum of squared deviations are reduced by the
     operations of ``np.mean`` and ``np.std(ddof=1)`` and merged into the
     running totals by the pairwise update of Chan, Golub and LeVeque, every
@@ -303,52 +302,22 @@ def _mc_estimate(m, counts, noise) -> EntropyValue:
     others = len(counts) - 1
     step = max(1, min(MC_BLOCK_SAMPLES, MC_CHUNK_SAMPLES // max(others, 1)))
     cells = np.empty(others * min(step, n))
-    buf = np.empty(min(n, MC_CHUNK_SAMPLES))
     ends = np.cumsum(counts).tolist()
     runs = list(zip([0] + ends[:-1], ends))
-
-    def neighbours(a):
-        """Atom ``a``'s neighbours: offsets and log-weights, one row each."""
-        near = np.arange(others + 1) != a
-        return (support[a] - support[near])[:, None], lps[near][:, None]
-
-    # K - 1 neighbour terms, each below e^-40 / (K - 1) of p_a, sum below
-    # e^-40 < 2^-53 of it: the log-sum-exp's 1 + sum rounds to 1, so the
-    # score is ln f(x) + ln p_a to the bit.  A Gaussian row
-    # fl(fl(slope x) + const) is monotone in x: below the cut at a chunk's
-    # extreme noises, it is below it on the whole chunk.  The extremes are
-    # taken only for atoms whose rows are below the cut at x = 0.
-    cut = lps - (40.0 + math.log(max(others, 1)))
-    far = [
-        others > 0
-        and isinstance(base, GaussianDensity)
-        and base.log_ratio(np.zeros(1), *neighbours(a), np.empty((others, 1))).max()
-        < cut[a]
-        for a in range(others + 1)
-    ]
     mean = m2 = -0.0
     for c0 in range(0, n, MC_CHUNK_SAMPLES):
         c1 = min(c0 + MC_CHUNK_SAMPLES, n)
-        ld = buf[: c1 - c0]
-        ld[:] = noise[c0:c1]
-        if any(far):
-            extremes = np.array([ld.min(), ld.max()])
+        ld = noise[c0:c1]
         for a, (start, end) in enumerate(runs):
             first, stop = max(start - c0, 0), min(end, c1) - c0
             if first >= stop:
                 continue
-            shifts, lw = neighbours(a)
-            skip = far[a] and (
-                base.log_ratio(extremes, shifts, lw, np.empty((others, 2))).max()
-                < cut[a]
-            )
+            near = np.arange(others + 1) != a
+            shifts, lw = (support[a] - support[near])[:, None], lps[near][:, None]
             for lo in range(first, stop, step):
                 x = ld[lo : min(lo + step, stop)]
-                if skip:
-                    np.add(base.log_pdf(x), lps[a], out=x)
-                else:
-                    rho = cells[: others * x.size].reshape(others, x.size)
-                    _own_atom_scores(base, x, lps[a], shifts, lw, rho)
+                rho = cells[: others * x.size].reshape(others, x.size)
+                _own_atom_scores(base, x, lps[a], shifts, lw, rho)
         k = c1 - c0
         chunk_mean = np.add.reduce(ld) / k
         ld -= chunk_mean
@@ -363,13 +332,14 @@ def _mc_estimate(m, counts, noise) -> EntropyValue:
 
 
 def _own_atom_scores(base, x, lp, d, lw, rho) -> None:
-    """Overwrite the noises ``x`` of one atom's samples with their
-    log-densities ``ln f(x) + ln(p_a + sum_k exp(rho_k))``, where ``lp =
-    ln p_a`` and the sum runs over the other atoms, at offsets ``d`` and
-    with log-weights ``lw``: ``rho_k = ln p_k + ln f(x + d_k) - ln f(x)``,
-    which ``base.log_ratio`` writes into the K-1 x ``x.size`` buffer
-    ``rho``.  The second term is ``_log_sum_exp`` over those rows with the
-    own atom's ``lp`` as its ``initial`` term, which needs no row.
+    """Overwrite the noises ``x`` of one atom's samples, a block of the
+    sample's noise array, with their log-densities ``ln f(x) + ln(p_a +
+    sum_k exp(rho_k))``, where ``lp = ln p_a`` and the sum runs over the
+    other atoms, at offsets ``d`` and with log-weights ``lw``: ``rho_k =
+    ln p_k + ln f(x + d_k) - ln f(x)``, which ``base.log_ratio`` writes
+    into the K-1 x ``x.size`` buffer ``rho``.  The second term is
+    ``_log_sum_exp`` over those rows with the own atom's ``lp`` as its
+    ``initial`` term, which needs no row.
 
     The score is ``MixtureDensity.log_density(x, a)`` to within ~1e-14
     relative, but not with its far-field accuracy: where ``rho_k`` cancels

@@ -23,6 +23,9 @@ from mixent.entropy import deficit_via_identity
 
 LN2 = math.log(2.0)
 FAIR_JSON = '{"bernoulli":0.5}'
+# a gap of 10^5 at sigma 1e-150: the deficit's scale d^2 / (8 sigma^2)
+# overflows, and the deficit is 0 within one unit in the last place
+WIDE_GAP_JSON = '{"support":[0,100000],"probs":[0.5,0.5]}'
 SWEEP_FAIR = ["sweep", "--sigma-start", "0.25", "--sigma-end", "1", "--steps", "2",
               "--dist", FAIR_JSON]
 
@@ -66,6 +69,18 @@ class TestEntropyCommand:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["delta_direct"]["nats"]) <= 1e-12
+
+    def test_scale_overflow_deficit_is_zero_within_one_ulp(self, capsys):
+        argv = ["entropy", "--sigma", "1e-150", "--dist", WIDE_GAP_JSON]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert doc["delta_direct"] == {
+            "nats": 0.0, "abs_error": 5e-324, "method": "quadrature"}
+        assert doc["converged"] is True
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert re.search(r"^delta_direct +0  \(\+- 4\.941e-324, quadrature\)$", out, re.M)
 
     def test_mixture_entropy_integrated_once(self, capsys, integrate_calls):
         code, out, _ = run_cli(
@@ -173,6 +188,16 @@ class TestSweepCommand:
             assert cells[-1] == "true"
             assert cells[6] != ""  # closed-form upper bound present
             assert cells[8] == ""  # big-sigma bound absent
+
+    def test_scale_overflow_row_is_zero_within_one_ulp(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--sigma-start", "1e-150", "--sigma-end", "1e-149",
+            "--steps", "2", "--dist", WIDE_GAP_JSON, "--format", "csv",
+        )
+        assert code == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert row[:3] == ["1e-150", "0", "4.94065645841247e-324"]
+        assert row[-1] == "true"
 
     def test_supercritical_sweep(self, capsys):
         code, out, _ = run_cli(

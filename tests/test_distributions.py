@@ -23,7 +23,7 @@ from mixent.distributions import (
     _log_sum_exp,
     tail_mass,
 )
-from mixent.entropy import McConfig, mc_entropy
+from mixent.entropy import MC_CHUNK_SAMPLES, McConfig, mc_entropy
 from mixent.numerics import integrate
 
 
@@ -399,10 +399,12 @@ def _two_terms(draw):
     return initial, draw(st.lists(term, min_size=1, max_size=12))
 
 
+# one neighbour row and the own atom's finite initial term: a two-atom
+# Monte Carlo score, as the one kernel reduces it
 @settings(max_examples=400, deadline=None)
 @example(case=(-0.7, [-0.7, -math.inf, math.inf, -700.7, 699.3, -1e300]))
 @given(case=_two_terms())
-def test_two_term_log_sum_exp_keeps_the_bits(case):
+def test_log_sum_exp_of_one_row_and_initial_keeps_the_bits(case):
     initial, terms = case
     t = np.array([terms])
     want = _log_sum_exp_general(t.copy(), initial)
@@ -461,35 +463,43 @@ class TestLogDensityKernel:
 
 
 MC_PIN_SEED = 20260809
-# mc_entropy(law, sigma, N = 10**5, seed MC_PIN_SEED) as (nats, standard
-# error), by (law, sigma), captured from the multinomial draw with each
-# sample scored against its own atom: the same bits, not merely close
-# values.  At sigma 0.05 every atom's neighbours are far enough out that
-# the kernel scores its samples without their rows, a chunk at a time.
+# mc_entropy(law, sigma, N, seed MC_PIN_SEED) as (nats, standard error), by
+# (law, sigma, N), captured from the multinomial draw with each sample
+# scored against its own atom: the same bits, not merely close values.
+# N = 10**5 is one chunk; MC_CHUNK_SAMPLES + 5000 crosses a chunk edge, so
+# those two pins also hold the chunk merge.
 MC_BIT_PIN = {
-    ("bernoulli(1/2)", 0.25): ("0x1.552323fff8480p-1", "0x1.de610d8e5d73cp-10"),
-    ("bernoulli(0.3)", 0.25): ("0x1.2f1219e70e53bp-1", "0x1.20b66d9b4fd5fp-9"),
-    ("uniform{-1,0,1}", 0.25): ("0x1.0d50e8a56c816p+0", "0x1.b37811bdbe07ap-10"),
-    ("geometric{0..5}", 0.25): ("0x1.413be926d8f7cp+0", "0x1.88cc0d75a6db2p-9"),
-    ("bernoulli(1/2)", 0.05): ("-0x1.c2fd4944f4280p-1", "0x1.276dd46cd5b68p-9"),
-    ("bernoulli(0.3)", 0.05): ("-0x1.ec6dafde90867p-1", "0x1.50bffb432cdf0p-9"),
-    ("uniform{-1,0,1}", 0.05): ("-0x1.e6bf569568d91p-2", "0x1.2775d37ead811p-9"),
-    ("geometric{0..5}", 0.05): ("-0x1.13fbd3a745f8ap-2", "0x1.c426160a62fa4p-9"),
-    ("uniform_support(12)", 0.05): ("0x1.d25f7678f2a82p-1", "0x1.276e1c24e94ebp-9"),
+    ("bernoulli(1/2)", 0.25, 10**5): ("0x1.552323fff8480p-1", "0x1.de610d8e5d73cp-10"),
+    ("bernoulli(0.3)", 0.25, 10**5): ("0x1.2f1219e70e53bp-1", "0x1.20b66d9b4fd5fp-9"),
+    ("uniform{-1,0,1}", 0.25, 10**5): ("0x1.0d50e8a56c816p+0", "0x1.b37811bdbe07ap-10"),
+    ("geometric{0..5}", 0.25, 10**5): ("0x1.413be926d8f7cp+0", "0x1.88cc0d75a6db2p-9"),
+    ("bernoulli(1/2)", 0.05, 10**5): ("-0x1.c2fd4944f4280p-1", "0x1.276dd46cd5b68p-9"),
+    ("bernoulli(0.3)", 0.05, 10**5): ("-0x1.ec6dafde90867p-1", "0x1.50bffb432cdf0p-9"),
+    ("uniform{-1,0,1}", 0.05, 10**5): ("-0x1.e6bf569568d91p-2", "0x1.2775d37ead811p-9"),
+    ("geometric{0..5}", 0.05, 10**5): ("-0x1.13fbd3a745f8ap-2", "0x1.c426160a62fa4p-9"),
+    ("uniform_support(12)", 0.05, 10**5): ("0x1.d25f7678f2a82p-1", "0x1.276e1c24e94ebp-9"),
+    ("bernoulli(1/2)", 0.25, MC_CHUNK_SAMPLES + 5000): (
+        "0x1.563c4902b0210p-1", "0x1.267c75b53254dp-10"),
+    ("bernoulli(1/2)", 0.05, MC_CHUNK_SAMPLES + 5000): (
+        "-0x1.c333cf050f57ep-1", "0x1.66f793eaf8f77p-10"),
 }
 PIN_LAWS = {**grid_laws(), "uniform_support(12)": DiscreteLattice.uniform_support(12)}
 
 
-# the pins at sigma 0.25 keep the plain law label as their test id
+def _pin_id(label, sigma, n):
+    """The law label, then its sigma where that is not 0.25 and its N where
+    that is not 10**5."""
+    unusual = [str(v) for v, usual in ((sigma, 0.25), (n, 10**5)) if v != usual]
+    return "-".join([label] + unusual)
+
+
 @pytest.mark.parametrize(
-    "label, sigma",
-    sorted(MC_BIT_PIN),
-    ids=[label if s == 0.25 else f"{label}-{s}" for label, s in sorted(MC_BIT_PIN)],
+    "label, sigma, n", sorted(MC_BIT_PIN), ids=[_pin_id(*k) for k in sorted(MC_BIT_PIN)]
 )
-def test_mc_entropy_bits_are_pinned(label, sigma):
+def test_mc_entropy_bits_are_pinned(label, sigma, n):
     m = MixtureDensity(GaussianDensity(sigma), PIN_LAWS[label])
-    v = mc_entropy(m, McConfig(10**5, MC_PIN_SEED))
-    assert (v.nats.hex(), v.abs_error.hex()) == MC_BIT_PIN[label, sigma]
+    v = mc_entropy(m, McConfig(n, MC_PIN_SEED))
+    assert (v.nats.hex(), v.abs_error.hex()) == MC_BIT_PIN[label, sigma, n]
 
 
 @st.composite
