@@ -63,15 +63,14 @@ class EntropyValue:
 
 
 # Monte Carlo scores each atom's samples in blocks of at most this many
-# (fewer where K - 1 neighbour rows of them would pass MC_CHUNK_SAMPLES
-# doubles).  On a 2-vCPU x86 host, mc_entropy at N = 10**6 on the 20 (law,
-# sigma) pairs of the checks' identity grid, one after another, took
-# 0.88-1.01 and 0.97-1.03 s at 2**14 and 2**15 (median of 7, in five and
-# three processes), with peak RSS of 44.2-44.5 and 46.1-46.2 MB and
-# tracemalloc peaks of at most 8.9 and 10.1 MiB, and the same bits.
+# (fewer where K - 1 neighbour rows of them would pass 2**18 doubles), and
+# a score's last bits can depend on where its run is cut into blocks.  On a
+# 2-vCPU x86 host, mc_entropy at N = 10**6 on the 20 (law, sigma) pairs of
+# the checks' identity grid, one after another, took 0.88-1.01 and
+# 0.97-1.03 s at 2**14 and 2**15 (median of 7, in five and three
+# processes), with peak RSS of 44.2-44.5 and 46.1-46.2 MB and tracemalloc
+# peaks of at most 8.9 and 10.1 MiB, and the same bits.
 MC_BLOCK_SAMPLES = 2**14
-# ... and reduces those scores, in place, in chunks of this many samples.
-MC_CHUNK_SAMPLES = 2**18
 # The folded integrands evaluate their (atom, node, cell) entries in slices
 # of at most this many.  On a 2-vCPU x86 host, both quadratures on 18 laws
 # of <= 24 atoms took 43.7, 42.6, 47.6 and 46.2 ms at 2**13 to 2**16 (median
@@ -215,9 +214,10 @@ def _deficit_quadrature(support, log_probs, base, cells=None) -> EntropyValue:
     weights are scaled by ``exp(d^2 / (8 sigma^2))``, ``d`` the smallest gap,
     which brings the integrand (linear in a common weight) to a peak of
     order 1; the result is scaled back.  Below the smallest normal double
-    the error also counts the roundings of the scale and the product.  A
-    scale that overflows (a wide gap at tiny sigma) puts the deficit below
-    the smallest subnormal: it is 0 within one unit in the last place."""
+    the error also counts the roundings of the scale and the product, and
+    one unit in the last place, even where the value is 0.  A scale that
+    overflows (a wide gap at tiny sigma) puts the deficit below the
+    smallest subnormal: it is 0 within one unit in the last place."""
     s = 0.0
     if isinstance(base, GaussianDensity) and len(support) > 1:
         s = float(np.diff(support).min()) ** 2 / (8.0 * base.sigma**2)
@@ -227,7 +227,7 @@ def _deficit_quadrature(support, log_probs, base, cells=None) -> EntropyValue:
     v = _integrate_folded(_deficit_body, support, lps, base, cells)
     scale = math.exp(-s)
     nats, err = v.nats * scale, v.abs_error * scale
-    if v.nats > 0.0 and nats < sys.float_info.min:
+    if s > 0.0 and nats < sys.float_info.min:
         err += v.nats * math.ulp(scale) + math.ulp(nats)
     return replace(v, nats=nats, abs_error=err)
 
@@ -265,70 +265,39 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
     the error estimate.  Same seed, same result, bit for bit.
 
     ``MixtureDensity.sample`` draws the atom counts by one multinomial and
-    the noise apart from them; ``_mc_estimate`` scores each sample against
-    its own atom in place in that noise, so the estimate holds the noise
-    array and one block buffer for any number of atoms K, not O(K N).
+    the noise apart from them.  A sample of atom ``a`` with noise ``x`` is
+    scored against its own atom, in exact coordinates: ``ln f(x) + ln(p_a +
+    sum_{k != a} p_k f(x + a - k) / f(x))``, each ratio from
+    ``m.base.log_ratio`` (see ``_own_atom_scores``).  ``m.log_density(x,
+    a)`` is the same value by K log-pdf evaluations; this is one
+    multiply-add per (neighbour, sample).  Each atom's run is scored in
+    blocks of at most ``MC_BLOCK_SAMPLES`` samples, with one buffer of K - 1
+    rows of at most 2**18 doubles in all, and its scores overwrite the noise
+    they came from.  The scores are then reduced once, in place, by the
+    operations of ``np.mean`` and ``np.std(ddof=1)``, whose bits the
+    estimate has at every N.  It holds the noise array and one block
+    buffer for any number of atoms K, not O(K N).
     """
     counts, noise = m.sample(np.random.default_rng(cfg.seed), cfg.samples)
-    return _mc_estimate(m, counts, noise)
-
-
-def _mc_estimate(m, counts, noise) -> EntropyValue:
-    """The Monte Carlo estimate of ``h(m)`` from the atom counts and the
-    noise of ``m.sample``; ``noise`` is overwritten with the scores.
-
-    A sample of atom ``a`` with noise ``x`` is scored against its own
-    atom, in exact coordinates: ``ln f(x) + ln(p_a + sum_{k != a} p_k
-    f(x + a - k) / f(x))``, each ratio from ``m.base.log_ratio`` (see
-    ``_own_atom_scores``).  ``m.log_density(x, a)`` is the same value by K
-    log-pdf evaluations; this is one multiply-add per (neighbour, sample).
-    The sample is walked in chunks of ``MC_CHUNK_SAMPLES``.  Each atom's
-    run within a chunk is scored in blocks of at most ``MC_BLOCK_SAMPLES``
-    samples, with one preallocated buffer of K - 1 rows (fewer samples
-    where that buffer would pass ``MC_CHUNK_SAMPLES`` doubles), and its
-    scores overwrite the noise they came from.
-    A chunk's mean and sum of squared deviations are reduced by the
-    operations of ``np.mean`` and ``np.std(ddof=1)`` and merged into the
-    running totals by the pairwise update of Chan, Golub and LeVeque, every
-    chunk the first included.  The totals start at -0.0, and on the first
-    chunk the update adds that chunk's own totals to them, which leaves
-    their bits as they are (but for a chunk mean of -0.0, which comes out
-    +0.0), so for N <= ``MC_CHUNK_SAMPLES`` the bits are numpy's.
-    """
     n = noise.size
-    base = m.base
     support = np.asarray(m.lattice.support, dtype=float)
     lps = np.asarray(m.lattice.log_probs)
     others = len(counts) - 1
-    step = max(1, min(MC_BLOCK_SAMPLES, MC_CHUNK_SAMPLES // max(others, 1)))
+    step = max(1, min(MC_BLOCK_SAMPLES, 2**18 // max(others, 1)))
     cells = np.empty(others * min(step, n))
-    ends = np.cumsum(counts).tolist()
-    runs = list(zip([0] + ends[:-1], ends))
-    mean = m2 = -0.0
-    for c0 in range(0, n, MC_CHUNK_SAMPLES):
-        c1 = min(c0 + MC_CHUNK_SAMPLES, n)
-        ld = noise[c0:c1]
-        for a, (start, end) in enumerate(runs):
-            first, stop = max(start - c0, 0), min(end, c1) - c0
-            if first >= stop:
-                continue
-            near = np.arange(others + 1) != a
-            shifts, lw = (support[a] - support[near])[:, None], lps[near][:, None]
-            for lo in range(first, stop, step):
-                x = ld[lo : min(lo + step, stop)]
-                rho = cells[: others * x.size].reshape(others, x.size)
-                _own_atom_scores(base, x, lps[a], shifts, lw, rho)
-        k = c1 - c0
-        chunk_mean = np.add.reduce(ld) / k
-        ld -= chunk_mean
-        ld *= ld
-        chunk_m2 = np.add.reduce(ld)
-        d = chunk_mean - mean
-        mean += d * (k / c1)
-        m2 += chunk_m2 + d * d * (c0 * k / c1)
-    nats = -float(mean)
-    se = float(np.sqrt(m2 / (n - 1)) / math.sqrt(n))
-    return EntropyValue(nats, EntropyMethod.MONTE_CARLO, se)
+    ends = np.cumsum(counts)
+    for a, (start, end) in enumerate(zip(ends - counts, ends)):
+        near = np.arange(others + 1) != a
+        shifts, lw = (support[a] - support[near])[:, None], lps[near][:, None]
+        for lo in range(start, end, step):
+            x = noise[lo : min(lo + step, end)]
+            rho = cells[: others * x.size].reshape(others, x.size)
+            _own_atom_scores(m.base, x, lps[a], shifts, lw, rho)
+    mean = np.add.reduce(noise) / n
+    noise -= mean
+    noise *= noise
+    se = np.sqrt(np.add.reduce(noise) / (n - 1)) / math.sqrt(n)
+    return EntropyValue(-float(mean), EntropyMethod.MONTE_CARLO, float(se))
 
 
 def _own_atom_scores(base, x, lp, d, lw, rho) -> None:

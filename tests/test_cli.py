@@ -82,6 +82,18 @@ class TestEntropyCommand:
         assert code == 0
         assert re.search(r"^delta_direct +0  \(\+- 4\.941e-324, quadrature\)$", out, re.M)
 
+    @pytest.mark.parametrize("sigma, dist", [("0.001", FAIR_JSON), ("1e-149", WIDE_GAP_JSON)])
+    def test_underflowed_deficit_is_zero_within_one_ulp(self, capsys, sigma, dist):
+        # the scale is finite but the deficit underflows: 0, not exactly 0
+        argv = ["entropy", "--sigma", sigma, "--dist", dist]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["delta_direct"] == {
+            "nats": 0.0, "abs_error": 5e-324, "method": "quadrature"}
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert re.search(r"^delta_direct +0  \(\+- 4\.941e-324, quadrature\)$", out, re.M)
+
     def test_mixture_entropy_integrated_once(self, capsys, integrate_calls):
         code, out, _ = run_cli(
             capsys, "entropy", "--sigma", "0.25", "--dist", FAIR_JSON,

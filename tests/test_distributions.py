@@ -23,7 +23,7 @@ from mixent.distributions import (
     _log_sum_exp,
     tail_mass,
 )
-from mixent.entropy import MC_CHUNK_SAMPLES, McConfig, mc_entropy
+from mixent.entropy import McConfig, mc_entropy
 from mixent.numerics import integrate
 
 
@@ -466,8 +466,8 @@ MC_PIN_SEED = 20260809
 # mc_entropy(law, sigma, N, seed MC_PIN_SEED) as (nats, standard error), by
 # (law, sigma, N), captured from the multinomial draw with each sample
 # scored against its own atom: the same bits, not merely close values.
-# N = 10**5 is one chunk; MC_CHUNK_SAMPLES + 5000 crosses a chunk edge, so
-# those two pins also hold the chunk merge.
+# The scores are reduced once, by numpy's pairwise sum; N = 2**18 + 5000
+# holds that sum past 2**18 samples as well as at N = 10**5.
 MC_BIT_PIN = {
     ("bernoulli(1/2)", 0.25, 10**5): ("0x1.552323fff8480p-1", "0x1.de610d8e5d73cp-10"),
     ("bernoulli(0.3)", 0.25, 10**5): ("0x1.2f1219e70e53bp-1", "0x1.20b66d9b4fd5fp-9"),
@@ -478,10 +478,10 @@ MC_BIT_PIN = {
     ("uniform{-1,0,1}", 0.05, 10**5): ("-0x1.e6bf569568d91p-2", "0x1.2775d37ead811p-9"),
     ("geometric{0..5}", 0.05, 10**5): ("-0x1.13fbd3a745f8ap-2", "0x1.c426160a62fa4p-9"),
     ("uniform_support(12)", 0.05, 10**5): ("0x1.d25f7678f2a82p-1", "0x1.276e1c24e94ebp-9"),
-    ("bernoulli(1/2)", 0.25, MC_CHUNK_SAMPLES + 5000): (
+    ("bernoulli(1/2)", 0.25, 2**18 + 5000): (
         "0x1.563c4902b0210p-1", "0x1.267c75b53254dp-10"),
-    ("bernoulli(1/2)", 0.05, MC_CHUNK_SAMPLES + 5000): (
-        "-0x1.c333cf050f57ep-1", "0x1.66f793eaf8f77p-10"),
+    ("bernoulli(1/2)", 0.05, 2**18 + 5000): (
+        "-0x1.c333cf050f57dp-1", "0x1.66f793eaf8f77p-10"),
 }
 PIN_LAWS = {**grid_laws(), "uniform_support(12)": DiscreteLattice.uniform_support(12)}
 

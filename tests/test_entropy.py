@@ -23,7 +23,6 @@ from mixent.distributions import (
 )
 from mixent.entropy import (
     MC_BLOCK_SAMPLES,
-    MC_CHUNK_SAMPLES,
     EntropyMethod,
     EntropyValue,
     McConfig,
@@ -137,6 +136,16 @@ class TestDeficit:
         dd = deficit_direct(z, GaussianDensity(1e-150))
         assert dd == EntropyValue(0.0, EntropyMethod.QUADRATURE, math.ulp(0.0), True)
         assert integrate_calls == []
+
+    def test_underflowed_deficit_is_zero_within_one_ulp(self):
+        # delta ~ e^-125006 at sigma 0.001: the scaled quadrature is itself
+        # 0 there, and 0 is right only to within the smallest subnormal
+        g = GaussianDensity(0.001)
+        for dd in (deficit_direct(FAIR, g), lemma1_upper_bound(g)):
+            assert dd == EntropyValue(0.0, EntropyMethod.QUADRATURE, math.ulp(0.0), True)
+        # a point mass and a uniform base of half-width 1/4 have no deficit
+        for z, base in ((DiscreteLattice.point_mass(0), g), (FAIR, UniformDensity(0.25))):
+            assert deficit_direct(z, base) == EntropyValue(0.0, EntropyMethod.QUADRATURE, 0.0)
 
     def test_large_sigma_exceeds_tail_bound(self):
         dd = deficit_direct(FAIR, GaussianDensity(1.0))
@@ -456,10 +465,10 @@ class TestMcEntropy:
         assert peak < 16 * 2**20
 
     def test_holds_one_array_of_the_sample_size(self):
-        # 8 MiB of noise, scored in place, and 128 KiB blocks (8.75 MiB in
-        # all with numpy 2.4); a 2 MiB chunk buffer would go over the bound, and
-        # a log-density array of the sample size and np.std's temporary
-        # would add 16 MiB
+        # 8 MiB of noise, scored and reduced in place, and 128 KiB blocks
+        # (8.75 MiB in all with numpy 2.4); a 2 MiB copy of part of the
+        # noise would go over the bound, and a log-density array of the
+        # sample size and np.std's temporary would add 16 MiB
         m = MixtureDensity(GaussianDensity(0.25), FAIR)
         mc_entropy(m, McConfig(samples=2, seed=0))  # lazy imports, ~0.7 MiB
         tracemalloc.start()
@@ -484,7 +493,7 @@ class TestMcEntropy:
     def _against_scipy(n, seed):
         """``mc_entropy`` at ``n`` samples of a law with a 1e-12-weight atom
         against one full-array scipy evaluation of the same sample, and
-        against ``_mc_estimate`` of that sample; the atom counts."""
+        against ``_reference_estimate`` of that sample; the atom counts."""
         z = DiscreteLattice((-2, 0, 5), (0.6, 1e-12, 0.4 - 1e-12))
         sigma = 0.8
         m = MixtureDensity(GaussianDensity(sigma), z)
@@ -496,7 +505,7 @@ class TestMcEntropy:
             axis=0,
         )
         est = mc_entropy(m, McConfig(n, seed))
-        assert entropy_mod._mc_estimate(m, counts, noise) == est
+        assert (est.nats, est.abs_error) == _reference_estimate(m, counts, noise)
         assert est.nats == pytest.approx(-np.mean(want), rel=1e-14)
         assert est.abs_error == pytest.approx(np.std(want, ddof=1) / math.sqrt(n), rel=1e-12)
         return counts
@@ -505,11 +514,12 @@ class TestMcEntropy:
         counts = self._against_scipy(2 * MC_BLOCK_SAMPLES + 7, 4)
         assert counts[1] == 0 and counts[0] > MC_BLOCK_SAMPLES
 
-    def test_chunk_merge_matches_scipy(self):
-        # three chunks, the last of 7 samples; both atom runs cross an edge
-        counts = self._against_scipy(2 * MC_CHUNK_SAMPLES + 7, 4)
+    def test_many_blocks_per_run_match_scipy(self):
+        # runs of 20 and 13 blocks, each with a partial last block, and
+        # one reduction over more than 2**19 scores
+        counts = self._against_scipy(2 * 2**18 + 7, 4)
         assert counts[1] == 0
-        assert MC_CHUNK_SAMPLES < counts[0] < 2 * MC_CHUNK_SAMPLES
+        assert 2**18 < counts[0] < 2 * 2**18
 
 
 @st.composite
@@ -547,10 +557,10 @@ def test_own_atom_scores_match_log_density(case):
 
 
 def _reference_estimate(m, counts, noise):
-    """``_mc_estimate`` written out: each atom's noises go all at once
-    through ``log_pdf``, ``log_ratio`` and the general max-shifted
+    """``mc_entropy`` of this sample written out: each atom's noises go all
+    at once through ``log_pdf``, ``log_ratio`` and the general max-shifted
     log-sum-exp with the own atom as its ``initial`` term, and the scores
-    are reduced a chunk at a time and merged as the estimator does."""
+    are reduced by ``np.mean`` and ``np.std(ddof=1)``."""
     support = np.asarray(m.lattice.support, dtype=float)
     lps = np.asarray(m.lattice.log_probs)
     scores = noise.copy()
@@ -566,24 +576,14 @@ def _reference_estimate(m, counts, noise):
         total += np.exp(lps[a] - top)
         x[:] = m.base.log_pdf(x) + (top + np.log(total))
     n = noise.size
-    mean = m2 = -0.0
-    for c0 in range(0, n, MC_CHUNK_SAMPLES):
-        ld = scores[c0 : c0 + MC_CHUNK_SAMPLES].copy()
-        k, c1 = ld.size, c0 + ld.size
-        chunk_mean = np.add.reduce(ld) / k
-        ld -= chunk_mean
-        ld *= ld
-        d = chunk_mean - mean
-        mean += d * (k / c1)
-        m2 += np.add.reduce(ld) + d * d * (c0 * k / c1)
-    return -float(mean), float(np.sqrt(m2 / (n - 1)) / math.sqrt(n))
+    return -float(np.mean(scores)), float(np.std(scores, ddof=1) / math.sqrt(n))
 
 
 @st.composite
-def _chunk_edge_case(draw):
+def _estimate_case(draw):
     """A law of up to 8 atoms with gaps of at most 3, maybe with one more
-    atom 10^3 past them, a base of scale sigma in [0.02, 0.3], and a sample
-    of it whose atom runs cross the edge of the first chunk."""
+    atom 10^3 past them, a base of scale sigma in [0.02, 0.3], a sample
+    size of 2, 5000 or 2**18 + 5000, and a seed."""
     gaps = draw(st.lists(st.integers(1, 3), max_size=6))
     support = np.cumsum([0] + gaps).tolist()
     if draw(st.booleans()):
@@ -594,17 +594,15 @@ def _chunk_edge_case(draw):
     sigma = draw(st.floats(0.02, 0.3))
     gaussian = draw(st.booleans())
     m = MixtureDensity(GaussianDensity(sigma) if gaussian else UniformDensity(sigma), z)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    return m, *m.sample(rng, MC_CHUNK_SAMPLES + 5000)
+    return m, draw(st.sampled_from([2, 5000, 2**18 + 5000])), draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=25, deadline=None)
-@given(_chunk_edge_case())
+@given(_estimate_case())
 def test_mc_estimate_has_the_bits_of_scoring_every_sample(case):
-    m, counts, noise = case
+    m, n, seed = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = entropy_mod._mc_estimate(m, counts, noise.copy())
-    want = _reference_estimate(m, counts, noise)
+        got = mc_entropy(m, McConfig(n, seed))
+    want = _reference_estimate(m, *m.sample(np.random.default_rng(seed), n))
     assert (got.nats.hex(), got.abs_error.hex()) == tuple(v.hex() for v in want)
-
