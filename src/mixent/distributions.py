@@ -194,22 +194,6 @@ class GaussianDensity:
         u = np.asarray(x, dtype=float) / self.sigma
         return -0.5 * u * u - math.log(self.sigma) - _LOG_SQRT_2PI
 
-    def log_ratio(self, x, d, lw, out):
-        """``lw + ln f(x + d) - ln f(x)`` for a column of offsets ``d`` with
-        their log-weights ``lw`` and a row of points ``x``, into ``out``
-        (one row per offset): ``lw - d (2x + d) / (2 sigma^2)``, two
-        constants per offset and one multiply-add per entry.  A constant
-        that overflows to -inf (a far offset at tiny sigma) gets slope 0,
-        so its row is -inf, which is its value to double precision at any
-        ``|x| <= |d| / 4``."""
-        with np.errstate(over="ignore"):
-            slope = -d / self.sigma**2
-            const = lw + 0.5 * slope * d
-        slope[const == -np.inf] = 0.0
-        np.multiply(slope, x, out=out)
-        out += const
-        return out
-
     def entropy_nats(self) -> float:
         scaled = 2.0 * math.pi * math.e * self.sigma**2
         if math.isinf(scaled):  # sigma >~ 3.2e153, though sigma**2 is finite
@@ -240,16 +224,6 @@ class UniformDensity:
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) < self.half_width, inside_log, -np.inf)
 
-    def log_ratio(self, x, d, lw, out):
-        """``lw + ln f(x + d) - ln f(x)`` into ``out``, as the Gaussian's,
-        for points ``x`` inside the support: ``lw`` where ``x + d`` is
-        inside it too, -inf where it is not."""
-        np.add(x, d, out=out)
-        inside = np.abs(out, out=out) < self.half_width
-        out.fill(-np.inf)
-        np.copyto(out, lw, where=inside)
-        return out
-
     def entropy_nats(self) -> float:
         return math.log(2.0 * self.half_width)
 
@@ -268,12 +242,10 @@ def tail_mass(g: GaussianDensity, z: float) -> float:
     return 0.5 * math.erfc(float(z) / (g.sigma * math.sqrt(2.0)))
 
 
-def _log_sum_exp(t: np.ndarray, initial: float = -np.inf) -> np.ndarray:
-    """``ln(exp(initial) + sum_k exp(t_k))`` over the atoms on axis 0,
-    shifted by the largest term so that nothing overflows: ``initial`` is
-    a term that needs no row (a Monte Carlo sample's own atom), and a
-    column with no mass gives ``-inf``.  Works in place: ``t`` is
-    overwritten.
+def _log_sum_exp(t: np.ndarray) -> np.ndarray:
+    """``ln sum_k exp(t_k)`` over the atoms on axis 0, shifted by the
+    largest term so that nothing overflows; a column with no mass gives
+    ``-inf``.  Works in place: ``t`` is overwritten.
 
     After the shift each column with mass has a term of exactly 1, so a term
     below ``e^-700`` (~1e-304) cannot move its sum; such terms are raised
@@ -281,15 +253,12 @@ def _log_sum_exp(t: np.ndarray, initial: float = -np.inf) -> np.ndarray:
     result is subnormal, underflows or is taken at -inf.  A column with no
     mass shifts to ``-inf - -inf``, a NaN, which ``fmax`` raises to -700
     too, so its sum is finite and ``-inf`` plus its log is ``-inf``."""
-    top = t.max(axis=0, initial=initial)
+    top = t.max(axis=0)
     with np.errstate(invalid="ignore"):
         t -= top
     np.fmax(t, -700.0, out=t)
     np.exp(t, out=t)
-    total = t.sum(axis=0)
-    if initial > -np.inf:
-        total += np.exp(initial - top)
-    return top + np.log(total)
+    return top + np.log(t.sum(axis=0))
 
 
 @dataclass(frozen=True)

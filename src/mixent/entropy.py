@@ -15,14 +15,16 @@ Gaussian deficit integrand peaks at size ``exp(-d^2 / (8 sigma^2))``, ``d``
 the smallest gap between atoms, and is integrated scaled by the inverse of
 that factor, so the absolute tolerance acts as a relative one.  Lemma 1 is the
 same deficit quadrature on one cell.  The two routes check each other, and a
-seeded Monte Carlo estimator is a third; ``entropy_report`` gathers all of
-them for one law and base from one mixture-entropy quadrature.
+seeded Monte Carlo estimator, which scores its samples by
+``MixtureDensity.log_density``, is a third; ``entropy_report`` gathers all
+of them for one law and base from one mixture-entropy quadrature.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -63,13 +65,14 @@ class EntropyValue:
 
 
 # Monte Carlo scores each atom's samples in blocks of at most this many
-# (fewer where K - 1 neighbour rows of them would pass 2**18 doubles), and
-# a score's last bits can depend on where its run is cut into blocks.  On a
-# 2-vCPU x86 host, mc_entropy at N = 10**6 on the 20 (law, sigma) pairs of
-# the checks' identity grid, one after another, took 0.88-1.01 and
-# 0.97-1.03 s at 2**14 and 2**15 (median of 7, in five and three
-# processes), with peak RSS of 44.2-44.5 and 46.1-46.2 MB and tracemalloc
-# peaks of at most 8.9 and 10.1 MiB, and the same bits.
+# (fewer where their K x block array of components would pass 2**18
+# doubles), and a score's last bits can depend on where its run is cut
+# into blocks.  On a 2-vCPU x86 host, mc_entropy at N = 10**6 on the 20
+# (law, sigma) pairs of the checks' identity grid, one after another, took
+# 0.63-0.82 s (median 0.67 s of 8 fresh processes), with peak RSS of 45 MB
+# and a tracemalloc peak of 8.96 MiB for the fair Bernoulli at N = 2**20;
+# uniform_support(1000) at sigma 2, N = 2 * 10**5, took 1.40-1.78 s.  A
+# cap of 2**16 doubles was slower there: 1.65-1.67 s against 1.41-1.46 s.
 MC_BLOCK_SAMPLES = 2**14
 # The folded integrands evaluate their (atom, node, cell) entries in slices
 # of at most this many.  On a 2-vCPU x86 host, both quadratures on 18 laws
@@ -84,6 +87,10 @@ class McConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} {value!r} is not an integer")
         if self.samples < 2:
             raise ValueError(
                 f"mc-samples {self.samples}: samples must be >= 2 for a standard error"
@@ -266,56 +273,28 @@ def mc_entropy(m: MixtureDensity, cfg: McConfig) -> EntropyValue:
 
     ``MixtureDensity.sample`` draws the atom counts by one multinomial and
     the noise apart from them.  A sample of atom ``a`` with noise ``x`` is
-    scored against its own atom, in exact coordinates: ``ln f(x) + ln(p_a +
-    sum_{k != a} p_k f(x + a - k) / f(x))``, each ratio from
-    ``m.base.log_ratio`` (see ``_own_atom_scores``).  ``m.log_density(x,
-    a)`` is the same value by K log-pdf evaluations; this is one
-    multiply-add per (neighbour, sample).  Each atom's run is scored in
-    blocks of at most ``MC_BLOCK_SAMPLES`` samples, with one buffer of K - 1
-    rows of at most 2**18 doubles in all, and its scores overwrite the noise
-    they came from.  The scores are then reduced once, in place, by the
-    operations of ``np.mean`` and ``np.std(ddof=1)``, whose bits the
-    estimate has at every N.  It holds the noise array and one block
-    buffer for any number of atoms K, not O(K N).
+    scored by ``m.log_density(x, a)``, in exact coordinates.  Each atom's
+    run is scored in blocks of at most ``MC_BLOCK_SAMPLES`` samples, fewer
+    where its K x block array of components would pass 2**18 doubles, and
+    its scores overwrite the noise they came from.  The scores are then
+    reduced once, in place, by the operations of ``np.mean`` and
+    ``np.std(ddof=1)``, whose bits the estimate has at every N.  It holds
+    the noise array and one block's components for any number of atoms K,
+    not O(K N).
     """
     counts, noise = m.sample(np.random.default_rng(cfg.seed), cfg.samples)
     n = noise.size
-    support = np.asarray(m.lattice.support, dtype=float)
-    lps = np.asarray(m.lattice.log_probs)
-    others = len(counts) - 1
-    step = max(1, min(MC_BLOCK_SAMPLES, 2**18 // max(others, 1)))
-    cells = np.empty(others * min(step, n))
+    step = max(1, min(MC_BLOCK_SAMPLES, 2**18 // len(counts)))
     ends = np.cumsum(counts)
-    for a, (start, end) in enumerate(zip(ends - counts, ends)):
-        near = np.arange(others + 1) != a
-        shifts, lw = (support[a] - support[near])[:, None], lps[near][:, None]
+    for atom, start, end in zip(m.lattice.support, ends - counts, ends):
         for lo in range(start, end, step):
             x = noise[lo : min(lo + step, end)]
-            rho = cells[: others * x.size].reshape(others, x.size)
-            _own_atom_scores(m.base, x, lps[a], shifts, lw, rho)
+            x[...] = m.log_density(x, atom)
     mean = np.add.reduce(noise) / n
     noise -= mean
     noise *= noise
     se = np.sqrt(np.add.reduce(noise) / (n - 1)) / math.sqrt(n)
     return EntropyValue(-float(mean), EntropyMethod.MONTE_CARLO, float(se))
-
-
-def _own_atom_scores(base, x, lp, d, lw, rho) -> None:
-    """Overwrite the noises ``x`` of one atom's samples, a block of the
-    sample's noise array, with their log-densities ``ln f(x) + ln(p_a +
-    sum_k exp(rho_k))``, where ``lp = ln p_a`` and the sum runs over the
-    other atoms, at offsets ``d`` and with log-weights ``lw``: ``rho_k =
-    ln p_k + ln f(x + d_k) - ln f(x)``, which ``base.log_ratio`` writes
-    into the K-1 x ``x.size`` buffer ``rho``.  The second term is
-    ``_log_sum_exp`` over those rows with the own atom's ``lp`` as its
-    ``initial`` term, which needs no row.
-
-    The score is ``MixtureDensity.log_density(x, a)`` to within ~1e-14
-    relative, but not with its far-field accuracy: where ``rho_k`` cancels
-    two large terms, their rounding is what is left."""
-    score = base.log_pdf(x)
-    base.log_ratio(x, d, lw, out=rho)
-    np.add(score, _log_sum_exp(rho, lp), out=x)
 
 
 def entropy_report(

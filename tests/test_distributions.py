@@ -374,47 +374,21 @@ def test_log_sum_exp_clamp_keeps_the_bits(columns):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _log_sum_exp_general(t: np.ndarray, initial: float) -> np.ndarray:
-    """The max-shifted log-sum-exp over the atoms plus an ``initial``
-    term, each row's shifted term raised to -700 before its exp."""
-    top = t.max(axis=0, initial=initial)
-    with np.errstate(invalid="ignore"):
-        total = np.exp(np.fmax(t - top, -700.0)).sum(axis=0)
-    total += np.exp(initial - top)
-    return top + np.log(total)
-
-
-@st.composite
-def _two_terms(draw):
-    """A finite ``initial`` and one row of terms around it: ordinary
-    values, ``+-inf``, ties and gaps of either sign near and beyond 700."""
-    initial = draw(st.floats(-1e4, 50.0))
-    term = st.one_of(
-        st.floats(-1e4, 1e4),
-        st.sampled_from([-math.inf, math.inf, initial]),
-        st.floats(-760.0, 760.0).map(lambda gap: initial + gap),
-        st.floats(690.0, 1e6).map(lambda gap: initial - gap),
-        st.floats(-1e-12, 1e-12).map(lambda gap: initial + gap),
-    )
-    return initial, draw(st.lists(term, min_size=1, max_size=12))
-
-
-# one neighbour row and the own atom's finite initial term: a two-atom
-# Monte Carlo score, as the one kernel reduces it
+# one atom's row of terms: the log-sum-exp of one term is that term, for
+# every double and +-inf, as a point-mass law's log-density reduces it
 @settings(max_examples=400, deadline=None)
-@example(case=(-0.7, [-0.7, -math.inf, math.inf, -700.7, 699.3, -1e300]))
-@given(case=_two_terms())
-def test_log_sum_exp_of_one_row_and_initial_keeps_the_bits(case):
-    initial, terms = case
+@example(terms=[-0.7, -math.inf, math.inf, -700.7, 699.3, -1e300, 1e300])
+@given(terms=st.lists(
+    st.one_of(st.floats(allow_nan=False), st.floats(-760.0, 760.0)), min_size=1, max_size=12
+))
+def test_log_sum_exp_of_one_row_keeps_the_bits(terms):
     t = np.array([terms])
-    want = _log_sum_exp_general(t.copy(), initial)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _log_sum_exp(t.copy(), initial)
-        one = _log_sum_exp(t[:, 0].copy(), initial)  # a single column
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.float64(one).view(np.int64) == want[0].view(np.int64)
-    assert np.ndim(one) == 0
+        got = _log_sum_exp(t.copy())
+        one = _log_sum_exp(t[:, 0].copy())  # a single column
+    assert np.array_equal(got, t[0])
+    assert one == t[0, 0] and np.ndim(one) == 0
 
 
 class TestLogDensityKernel:
@@ -437,19 +411,16 @@ class TestLogDensityKernel:
         if shape == ():
             assert type(got) is np.float64
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-        # the kernel itself with a term that needs no row, on these terms
-        # plus a column with no mass, and on no terms at all
+        # the kernel itself on these terms plus a column with no mass, and
+        # on no columns at all
         t = np.column_stack([terms.reshape(k, -1), np.full(k, -np.inf)])
-        initial = -2.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _log_sum_exp(t.copy(), initial)
-            empty = _log_sum_exp(t[:0].copy(), initial)
-            dead = _log_sum_exp(t.copy())[-1]
-        want = logsumexp(np.vstack([t, np.full(t.shape[1], initial)]), axis=0)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-        assert np.all(empty == initial) and empty.shape == (t.shape[1],)
-        assert dead == -np.inf
+            got = _log_sum_exp(t.copy())
+            empty = _log_sum_exp(t[:, :0].copy())
+        np.testing.assert_allclose(got[:-1], want.reshape(-1), rtol=1e-14, atol=0)
+        assert got[-1] == -np.inf
+        assert empty.shape == (0,)
 
     @pytest.mark.parametrize("k", [1, 3, 8, 40])
     def test_uniform_base_is_minus_inf_outside_its_support(self, k):
@@ -465,13 +436,14 @@ class TestLogDensityKernel:
 MC_PIN_SEED = 20260809
 # mc_entropy(law, sigma, N, seed MC_PIN_SEED) as (nats, standard error), by
 # (law, sigma, N), captured from the multinomial draw with each sample
-# scored against its own atom: the same bits, not merely close values.
-# The scores are reduced once, by numpy's pairwise sum; N = 2**18 + 5000
-# holds that sum past 2**18 samples as well as at N = 10**5.
+# scored by MixtureDensity.log_density at its own atom, in exact
+# coordinates: the same bits, not merely close values.  The scores are
+# reduced once, by numpy's pairwise sum; N = 2**18 + 5000 holds that sum
+# past 2**18 samples as well as at N = 10**5.
 MC_BIT_PIN = {
     ("bernoulli(1/2)", 0.25, 10**5): ("0x1.552323fff8480p-1", "0x1.de610d8e5d73cp-10"),
     ("bernoulli(0.3)", 0.25, 10**5): ("0x1.2f1219e70e53bp-1", "0x1.20b66d9b4fd5fp-9"),
-    ("uniform{-1,0,1}", 0.25, 10**5): ("0x1.0d50e8a56c816p+0", "0x1.b37811bdbe07ap-10"),
+    ("uniform{-1,0,1}", 0.25, 10**5): ("0x1.0d50e8a56c816p+0", "0x1.b37811bdbe07cp-10"),
     ("geometric{0..5}", 0.25, 10**5): ("0x1.413be926d8f7cp+0", "0x1.88cc0d75a6db2p-9"),
     ("bernoulli(1/2)", 0.05, 10**5): ("-0x1.c2fd4944f4280p-1", "0x1.276dd46cd5b68p-9"),
     ("bernoulli(0.3)", 0.05, 10**5): ("-0x1.ec6dafde90867p-1", "0x1.50bffb432cdf0p-9"),
@@ -521,6 +493,17 @@ def random_mixture(draw):
 
 
 @settings(max_examples=150, deadline=None)
+# an atom 10^3 past the rest, and a uniform base whose components overlap
+@example(
+    m=MixtureDensity(
+        GaussianDensity(0.3), DiscreteLattice((0, 1, 3, 1003), (0.1, 0.2, 0.3, 0.4))
+    ),
+    x=1002.9,
+)
+@example(
+    m=MixtureDensity(UniformDensity(0.7), DiscreteLattice((0, 1, 3), (0.2, 0.5, 0.3))),
+    x=0.4,
+)
 @given(m=random_mixture(), x=st.floats(-10.0, 10.0, allow_nan=False))
 def test_log_density_matches_direct_summation(m, x):
     direct = math.fsum(

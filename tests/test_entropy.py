@@ -401,6 +401,16 @@ class TestMcEntropy:
             McConfig(samples=0, seed=0)
         with pytest.raises(ValueError):
             McConfig(samples=10, seed=-1)
+        McConfig(samples=np.int64(10), seed=np.uint32(0))  # numpy integers are integers
+
+    # each would pass the range checks and fail later inside numpy, or
+    # (a bool seed) run with seed 1
+    @pytest.mark.parametrize(
+        "samples, seed", [(2.5, 0), (1000.0, 0), (10, 1.5), (10, True), (True, 0)]
+    )
+    def test_rejects_a_count_or_seed_that_is_not_an_integer(self, samples, seed):
+        with pytest.raises(ValueError, match="is not an integer"):
+            McConfig(samples, seed)
 
     def test_seed_reproducibility_is_bit_exact(self):
         m = MixtureDensity(GaussianDensity(0.25), FAIR)
@@ -479,6 +489,22 @@ class TestMcEntropy:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    def test_scores_every_sample_through_log_density(self, monkeypatch):
+        points = []
+        log_density = MixtureDensity.log_density
+
+        def counting(self, x, atom=0):
+            points.append(np.size(x))
+            return log_density(self, x, atom)
+
+        monkeypatch.setattr(MixtureDensity, "log_density", counting)
+        z = DiscreteLattice((-2, 0, 5), (0.6, 1e-12, 0.4 - 1e-12))
+        m = MixtureDensity(GaussianDensity(0.8), z)
+        n = 2 * MC_BLOCK_SAMPLES + 7
+        counts, _ = m.sample(np.random.default_rng(4), n)
+        mc_entropy(m, McConfig(n, 4))
+        assert counts[1] == 0 and sum(points) == n
+
     def test_one_atom_law_over_a_partial_block_is_the_base_log_pdf(self):
         n = MC_BLOCK_SAMPLES + 5
         g = GaussianDensity(0.7)
@@ -522,59 +548,14 @@ class TestMcEntropy:
         assert 2**18 < counts[0] < 2 * 2**18
 
 
-@st.composite
-def _own_atom_case(draw):
-    """A law of up to 7 atoms with gaps of at most 3 and one more atom 10^3
-    past them, a base of scale ``sigma``, one of its atoms and noises that
-    a sample of that atom can have: ``z sigma`` with ``|z| <= 8`` for a
-    Gaussian, and inside the support for a uniform of half-width sigma."""
-    gaps = draw(st.lists(st.integers(1, 3), max_size=6))
-    support = np.cumsum([0] + gaps).tolist()
-    support.append(support[-1] + 1000)
-    weights = draw(st.lists(
-        st.floats(1e-6, 1.0), min_size=len(support), max_size=len(support)))
-    z = DiscreteLattice(tuple(support), tuple(np.divide(weights, math.fsum(weights))))
-    sigma = 10.0 ** draw(st.floats(-3.0, math.log10(50.0)))
-    gaussian = draw(st.booleans())
-    base = GaussianDensity(sigma) if gaussian else UniformDensity(sigma)
-    bound = 8.0 if gaussian else 1.0 - 2.0**-52
-    zs = draw(st.lists(st.floats(-bound, bound), min_size=1, max_size=20))
-    return z, base, draw(st.integers(0, len(support) - 1)), np.multiply(zs, sigma)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_own_atom_case())
-def test_own_atom_scores_match_log_density(case):
-    z, base, a, x = case
-    lps = np.asarray(z.log_probs)
-    near = np.arange(len(lps)) != a
-    shifts = (z.support[a] - np.asarray(z.support, dtype=float)[near])[:, None]
-    got = x.copy()
-    rho = np.empty((len(lps) - 1, x.size))
-    entropy_mod._own_atom_scores(base, got, lps[a], shifts, lps[near][:, None], rho)
-    want = MixtureDensity(base, z).log_density(x, z.support[a])
-    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-
-
 def _reference_estimate(m, counts, noise):
-    """``mc_entropy`` of this sample written out: each atom's noises go all
-    at once through ``log_pdf``, ``log_ratio`` and the general max-shifted
-    log-sum-exp with the own atom as its ``initial`` term, and the scores
+    """``mc_entropy`` of this sample written out: each atom's whole run of
+    noises is scored at once by ``m.log_density(x, atom)``, and the scores
     are reduced by ``np.mean`` and ``np.std(ddof=1)``."""
-    support = np.asarray(m.lattice.support, dtype=float)
-    lps = np.asarray(m.lattice.log_probs)
-    scores = noise.copy()
+    scores = np.empty_like(noise)
     ends = np.cumsum(counts)
-    for a, (start, end) in enumerate(zip(ends - counts, ends)):
-        x = scores[start:end]
-        near = np.arange(len(lps)) != a
-        rho = np.empty((len(lps) - 1, x.size))
-        m.base.log_ratio(x, (support[a] - support[near])[:, None], lps[near][:, None], rho)
-        top = rho.max(axis=0, initial=lps[a])
-        with np.errstate(invalid="ignore"):
-            total = np.exp(np.fmax(rho - top, -700.0)).sum(axis=0)
-        total += np.exp(lps[a] - top)
-        x[:] = m.base.log_pdf(x) + (top + np.log(total))
+    for atom, start, end in zip(m.lattice.support, ends - counts, ends):
+        scores[start:end] = m.log_density(noise[start:end], atom)
     n = noise.size
     return -float(np.mean(scores)), float(np.std(scores, ddof=1) / math.sqrt(n))
 
